@@ -19,7 +19,7 @@
 //      must be bit-identical to the cache-OFF reference (exit 1 if not).
 //   3. --repeat-mix: duplicate-heavy serving traffic — a pool of unique
 //      graphs resubmitted at 50% and 90% duplicate rates, cache-off vs
-//      cache-on (cold, in-batch late hits) vs resubmit (all hits), all on
+//      cache-on (cold, in-batch dedupe) vs resubmit (all hits), all on
 //      ONE worker so the win is the cache, not parallelism.
 //
 // All thread counts and cache settings must return bit-identical
@@ -250,9 +250,9 @@ int main(int argc, char** argv) {
 
     // Cache on/off identity: the acceptance check that a served-from-cache
     // batch is bit-identical to solving everything. Run the batch twice on
-    // a cache-ON service — the first pass mixes misses with in-batch late
-    // hits, the second is all dispatch hits — and both must match the
-    // cache-OFF reference fingerprint.
+    // a cache-ON service — the first pass mixes misses with any in-batch
+    // twins the dedupe replays, the second is all dispatch hits — and both
+    // must match the cache-OFF reference fingerprint.
     {
       ThroughputService service(ServiceOptions{.threads = static_cast<int>(hw)});
       const std::vector<std::string> cold = fingerprint(service.analyze_batch(requests));
@@ -291,9 +291,10 @@ int main(int argc, char** argv) {
         off_ms = std::min(off_ms, clock.elapsed_ms());
       }
 
-      // Cache ON, cold: a fresh service per timing — duplicates are served
-      // by in-batch late hits, uniques still solve (cold workspaces AND
-      // cold cache, deliberately pessimistic for the cache).
+      // Cache ON, cold: a fresh service per timing — the in-batch dedupe
+      // replays every duplicate from its first copy without queueing it,
+      // uniques still solve (cold workspaces AND cold cache, deliberately
+      // pessimistic for the cache).
       double cold_ms = 1e300;
       double hit_rate_cold = 0;
       std::vector<Analysis> cold_batch;

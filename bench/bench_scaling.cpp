@@ -17,38 +17,17 @@
 // curves); argv[1] opts into more. With multiple workers the wall-clock
 // budgets are under contention, so budget rows may shift — the solved
 // rows are deterministic.
-//
-// `bench_scaling --intra [json]` runs the INTRA-graph study instead: one
-// large multi-SCC constraint graph, solved SCC-decomposed sequentially and
-// then with the per-component solves farmed over a thread pool. The two
-// runs must be bit-identical (the partitioned determinism contract); the
-// within-run seq/par ratio is what scripts/bench_check.sh gates (gate 1g,
-// machine-relative). The "intra_graph" section is merged into
-// BENCH_hotpath.json with the same writer pattern bench_dse uses.
-#include <atomic>
-#include <condition_variable>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <mutex>
-#include <sstream>
-#include <thread>
 
 #include "api/service.hpp"
-#include "bench_util.hpp"
-#include "core/constraints.hpp"
-#include "gen/random_csdf.hpp"
-#include "mcrp/cycle_ratio.hpp"
-#include "model/repetition.hpp"
 #include "model/stats.hpp"
-#include "util/parallel.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace kp;
-using kp::bench::min_ms_of;
 
 /// Fixed rates 2:3, but a backlog of tokens that grows with g: the
 /// self-timed execution must drain it before reaching the steady state
@@ -124,197 +103,9 @@ int run_sweep(ThroughputService& service, const char* title, const std::vector<i
   return 0;
 }
 
-// ---- intra-graph study ------------------------------------------------------
-
-/// Persistent-thread executor for the study: `width - 1` helper threads
-/// plus the caller race over one shared index counter, so the measured
-/// parallel path pays pool-handoff cost, not thread-spawn cost (what the
-/// service's nested task API pays too).
-class BenchPool final : public ParallelExecutor {
- public:
-  explicit BenchPool(int width) : width_(std::max(1, width)) {
-    for (int i = 1; i < width_; ++i) threads_.emplace_back([this] { loop(); });
-  }
-  ~BenchPool() override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  void run_indexed(std::int32_t n, void (*fn)(void*, std::int32_t), void* ctx) override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      fn_ = fn;
-      ctx_ = ctx;
-      n_ = n;
-      next_.store(0, std::memory_order_relaxed);
-      done_ = 0;
-      ++gen_;
-    }
-    cv_.notify_all();
-    claim();
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [&] { return done_ == n_; });
-  }
-
-  [[nodiscard]] int concurrency() const noexcept override { return width_; }
-
- private:
-  void loop() {
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait(lk, [&] { return stop_ || gen_ != seen; });
-        if (stop_) return;
-        seen = gen_;
-      }
-      claim();
-    }
-  }
-
-  void claim() {
-    for (;;) {
-      const std::int32_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n_) return;
-      fn_(ctx_, i);
-      std::lock_guard<std::mutex> lk(mu_);
-      if (++done_ == n_) done_cv_.notify_all();
-    }
-  }
-
-  int width_;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable done_cv_;
-  void (*fn_)(void*, std::int32_t) = nullptr;
-  void* ctx_ = nullptr;
-  std::int32_t n_ = 0;
-  std::atomic<std::int32_t> next_{0};
-  std::int32_t done_ = 0;
-  std::uint64_t gen_ = 0;
-  bool stop_ = false;
-};
-
-/// Merges the "intra_graph" section into an existing bench_hotpath JSON
-/// (bench_dse's writer pattern), or writes a standalone file.
-void write_intra_json(const std::string& path, const std::string& section) {
-  std::string existing;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      existing = ss.str();
-    }
-  }
-  const auto pos = existing.find("\"intra_graph\"");
-  if (pos != std::string::npos) {
-    const auto comma = existing.rfind(',', pos);
-    existing = comma == std::string::npos ? std::string() : existing.substr(0, comma) + "\n}\n";
-  }
-  std::ofstream out(path);
-  const auto brace = existing.rfind('}');
-  if (brace != std::string::npos && existing.find("\"schema\"") != std::string::npos) {
-    std::string head = existing.substr(0, brace);
-    while (!head.empty() && (head.back() == '\n' || head.back() == ' ')) head.pop_back();
-    out << head << ",\n  \"intra_graph\": " << section << "\n}\n";
-  } else {
-    out << "{\n  \"schema\": 7,\n  \"intra_graph\": " << section << "\n}\n";
-  }
-}
-
-int run_intra(const std::string& json_path) {
-  // One big multi-SCC CSDF graph, constraint graph at K = q (the largest
-  // constraint graph the K-iteration would ever build for it).
-  Rng rng(20260808);
-  MultiSccCsdfOptions gen;
-  gen.clusters = 64;
-  gen.min_cluster_tasks = 10;
-  gen.max_cluster_tasks = 16;
-  gen.max_phases = 3;
-  gen.max_q = 64;
-  gen.max_rate_factor = 2;
-  const CsdfGraph graph = random_multi_scc_csdf(rng, gen);
-  const RepetitionVector rv = compute_repetition_vector(graph);
-  std::vector<i64> k;
-  k.reserve(static_cast<std::size_t>(graph.task_count()));
-  for (TaskId t = 0; t < graph.task_count(); ++t) k.push_back(rv.of(t));
-
-  ConstraintGraph cg;
-  const Stopwatch build_clock;
-  build_constraint_graph_into(graph, rv, k, cg);
-  const double build_ms = build_clock.elapsed_ms();
-
-  McrpOptions options;
-  options.compute_potentials = false;
-  const int repeats = 5;
-
-  McrpFarm farm_seq;
-  McrpResult seq;
-  const double seq_ms = min_ms_of(
-      repeats, [&] { (void)solve_max_cycle_ratio_partitioned(cg.graph, options, farm_seq, seq); });
-  const auto sccs = static_cast<i64>(farm_seq.partition.nontrivial.size());
-
-  // Like gate 2's probe, the farm width is capped at 8: the gated claim is
-  // "per-SCC farming scales", not "scales to any core count on a 2 ms
-  // solve" — beyond 8 workers the per-component work no longer amortizes
-  // pool handoff on this instance.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const int workers = static_cast<int>(std::min<i64>(std::min<i64>(hw, 8), sccs));
-  BenchPool pool(workers);
-  McrpFarm farm_par;
-  McrpResult par;
-  const double par_ms = min_ms_of(repeats, [&] {
-    (void)solve_max_cycle_ratio_partitioned(cg.graph, options, farm_par, par, &pool);
-  });
-
-  // The determinism contract, self-checked like every bench: the farmed
-  // solve must be bit-identical to the sequential decomposed oracle.
-  if (seq.status != par.status || seq.ratio != par.ratio ||
-      seq.critical_cycle != par.critical_cycle || seq.iterations != par.iterations) {
-    std::cerr << "FAIL: partitioned solve differs between sequential and pooled runs\n";
-    return 1;
-  }
-
-  const double speedup = seq_ms / std::max(par_ms, 1e-9);
-  Table table({"nodes", "arcs", "sccs", "cores", "workers", "seq solve (ms)", "par solve (ms)",
-               "speedup"});
-  char spd[32];
-  std::snprintf(spd, sizeof spd, "%.2fx", speedup);
-  char seq_buf[32], par_buf[32];
-  std::snprintf(seq_buf, sizeof seq_buf, "%.3f", seq_ms);
-  std::snprintf(par_buf, sizeof par_buf, "%.3f", par_ms);
-  table.row({std::to_string(cg.graph.node_count()), std::to_string(cg.graph.arc_count()),
-             std::to_string(sccs), std::to_string(hw), std::to_string(workers), seq_buf, par_buf,
-             spd});
-  std::cout << "Intra-graph parallelism — one " << cg.graph.node_count()
-            << "-node constraint graph, per-SCC MCRP solves farmed over " << workers
-            << " worker(s)\n\n";
-  table.print(std::cout);
-  std::cout << "\n(constraint graph built once in " << build_ms << " ms; solve times are min-of-"
-            << repeats << ")\n";
-
-  std::ostringstream section;
-  section << "{\"nodes\": " << cg.graph.node_count() << ", \"arcs\": " << cg.graph.arc_count()
-          << ", \"sccs\": " << sccs << ", \"hardware_cores\": " << hw
-          << ", \"workers\": " << workers << ", \"seq_ms\": " << seq_ms
-          << ", \"par_ms\": " << par_ms << "}";
-  write_intra_json(json_path, section.str());
-  std::cout << "merged intra_graph section into " << json_path << "\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "--intra") {
-    return run_intra(argc > 2 ? argv[2] : "BENCH_hotpath.json");
-  }
   AnalysisOptions options;
   options.kiter.max_constraint_pairs = i128{30} * 1000 * 1000;
   options.kiter.time_budget_ms = 20000;

@@ -45,15 +45,6 @@
 # symbolic results are not value-identical to cold ones. Within-run ratio,
 # machine-relative.
 #
-# Gate 1g (bench_scaling --intra): on one large multi-SCC constraint graph
-# (~50k nodes, hundreds of cyclic components), the SCC-partitioned MCRP
-# solve with per-component farming over min(8, cores) pool workers must
-# beat the sequential decomposed solve of the SAME run by at least
-# 0.4·min(8, cores, #SCCs) when cores >= 2 — and must not fall below 0.5x
-# of the sequential figure on a 1-core box (farm overhead guard). The bench
-# itself exits non-zero if the farmed result is not bit-identical to the
-# sequential one. Within-run ratio, machine-relative.
-#
 # Gate 2 (bench_batch): fails if analyze_batch results differ across thread
 # counts or across cache on/off (the bench itself exits non-zero), or if
 # the parallel efficiency measured within the run falls below the floor for
@@ -66,12 +57,19 @@
 # actually pay on duplicate-heavy serving traffic, measured on ONE worker so
 # the win is the cache and not parallelism: at a 90% duplicate rate the
 # fully-warm resubmission pass must be >= 5x faster than the cache-off
-# baseline of the same run, the cold first pass (in-batch late hits only)
-# must be >= 1.5x, and the measured hit rates must match the constructed
-# duplicate rate. Within-run ratios, machine-relative.
+# baseline of the same run, the cold first pass (duplicates served by the
+# in-batch dedupe only) must be >= 1.5x, and the measured hit rates must
+# match the constructed duplicate rate. Within-run ratios,
+# machine-relative.
+#
+# Each bench binary runs once; a gate that reads a run whose binary exited
+# non-zero (its own identity or sanity check failed) fails too. Every gate
+# runs even when an earlier one fails: the script ends with one PASS or
+# FAIL line per gate and exits 1 if any gate failed (2 when a binary or
+# the baseline is missing).
 #
 # Usage: scripts/bench_check.sh [build-dir]   (default: ./build)
-set -euo pipefail
+set -uo pipefail  # no -e: one failing gate must not hide the others
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
@@ -80,10 +78,9 @@ bench_bin="$build_dir/bench_hotpath"
 batch_bin="$build_dir/bench_batch"
 dse_bin="$build_dir/bench_dse"
 scenario_bin="$build_dir/bench_scenario"
-scaling_bin="$build_dir/bench_scaling"
 
-if [[ ! -x "$bench_bin" || ! -x "$batch_bin" || ! -x "$dse_bin" || ! -x "$scenario_bin" || ! -x "$scaling_bin" ]]; then
-  echo "bench_check: $bench_bin / $batch_bin / $dse_bin / $scenario_bin / $scaling_bin not found — build first (cmake -B build && cmake --build build)" >&2
+if [[ ! -x "$bench_bin" || ! -x "$batch_bin" || ! -x "$dse_bin" || ! -x "$scenario_bin" ]]; then
+  echo "bench_check: $bench_bin / $batch_bin / $dse_bin / $scenario_bin not found — build first (cmake -B build && cmake --build build)" >&2
   exit 2
 fi
 if [[ ! -f "$baseline" ]]; then
@@ -95,9 +92,31 @@ fresh="$(mktemp /tmp/bench_hotpath.XXXXXX.json)"
 fresh_batch="$(mktemp /tmp/bench_batch.XXXXXX.json)"
 trap 'rm -f "$fresh" "$fresh_batch"' EXIT
 
+# ---- bench runs -------------------------------------------------------------
+# bench_dse and bench_scenario merge their sections into the fresh
+# bench_hotpath JSON, so they run after it.
 "$bench_bin" "$fresh"
+hotpath_rc=$?
+"$dse_bin" "$fresh"
+dse_rc=$?
+"$scenario_bin" "$fresh"
+scenario_rc=$?
+"$batch_bin" "$fresh_batch"
+batch_rc=$?
 
-python3 - "$baseline" "$fresh" <<'EOF'
+# bench_ok <exit-status> <binary>: true when that bench run passed its own
+# checks, so a gate may read its figures.
+bench_ok() {
+  if [[ "$1" -ne 0 ]]; then
+    echo "bench_check FAILED: $2 exited $1 (its own check failed; see its output above)" >&2
+    return 1
+  fi
+}
+
+# ---- gate 1: stride constraint build vs the committed baseline --------------
+gate_1() {
+  bench_ok "$hotpath_rc" bench_hotpath || return 1
+  python3 - "$baseline" "$fresh" <<'EOF'
 import json
 import sys
 
@@ -140,9 +159,12 @@ if failures:
     sys.exit(1)
 print("bench_check passed: constraint-graph build speedup within 20% of baseline")
 EOF
+}
 
 # ---- gate 1b: incremental engine (patch vs full rebuild, within-run) -------
-python3 - "$fresh" <<'EOF'
+gate_1b() {
+  bench_ok "$hotpath_rc" bench_hotpath || return 1
+  python3 - "$fresh" <<'EOF'
 import json
 import sys
 
@@ -178,13 +200,14 @@ if failures:
     sys.exit(1)
 print("bench_check passed: incremental patch path beats full rebuild on the gcd chain")
 EOF
+}
 
 # ---- gate 1c: cross-variant DSE patching (within-run) ----------------------
-# bench_dse merges its "dse" section into the fresh bench_hotpath JSON and
-# exits non-zero itself when warm variant analyses diverge from cold ones.
-"$dse_bin" "$fresh"
-
-python3 - "$fresh" <<'EOF'
+# bench_dse exits non-zero itself when warm variant analyses diverge from
+# cold ones.
+gate_1c() {
+  bench_ok "$dse_rc" bench_dse || return 1
+  python3 - "$fresh" <<'EOF'
 import json
 import sys
 
@@ -220,9 +243,12 @@ if failures:
     sys.exit(1)
 print("bench_check passed: cross-variant patching beats cold per-variant rebuilds")
 EOF
+}
 
 # ---- gate 1d: e2e warm-start sweep (within-run) ----------------------------
-python3 - "$fresh" <<'EOF'
+gate_1d() {
+  bench_ok "$dse_rc" bench_dse || return 1
+  python3 - "$fresh" <<'EOF'
 import json
 import sys
 
@@ -270,9 +296,12 @@ if failures:
     sys.exit(1)
 print("bench_check passed: e2e warm-start sweep beats cold with solve time reduced")
 EOF
+}
 
 # ---- gate 1f: symbolic-region sweep (within-run) ---------------------------
-python3 - "$fresh" <<'EOF'
+gate_1f() {
+  bench_ok "$dse_rc" bench_dse || return 1
+  python3 - "$fresh" <<'EOF'
 import json
 import sys
 
@@ -317,13 +346,14 @@ if failures:
     sys.exit(1)
 print("bench_check passed: symbolic regions beat the warm per-point sweep")
 EOF
+}
 
 # ---- gate 1e: multi-mode scenario analysis (within-run) --------------------
-# bench_scenario merges its "scenario" section into the fresh JSON and exits
-# non-zero itself when the warm scenario verdict diverges from the cold one.
-"$scenario_bin" "$fresh"
-
-python3 - "$fresh" <<'EOF'
+# bench_scenario exits non-zero itself when the warm scenario verdict
+# diverges from the cold one.
+gate_1e() {
+  bench_ok "$scenario_rc" bench_scenario || return 1
+  python3 - "$fresh" <<'EOF'
 import json
 import sys
 
@@ -361,62 +391,14 @@ if failures:
     sys.exit(1)
 print("bench_check passed: warm scenario analysis beats cold per-state composition")
 EOF
-
-# ---- gate 1g: intra-graph SCC farming (within-run) -------------------------
-# bench_scaling --intra merges its "intra_graph" section into the fresh JSON
-# and exits non-zero itself when the farmed solve is not bit-identical to
-# the sequential decomposed one.
-"$scaling_bin" --intra "$fresh"
-
-python3 - "$fresh" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    run = json.load(f)
-
-case = run.get("intra_graph")
-if not case:
-    print(
-        "bench_check FAILED: no 'intra_graph' section in fresh bench run "
-        "(old bench_scaling?)",
-        file=sys.stderr,
-    )
-    sys.exit(1)
-
-cores = case["hardware_cores"]
-speedup = case["seq_ms"] / max(case["par_ms"], 1e-9)
-if cores >= 2:
-    # Machine-relative efficiency floor: the farm runs min(8, cores, #SCCs)
-    # workers (counting the owner), and must reach 0.4x of that ideal.
-    required = 0.4 * min(8, cores, case["sccs"])
-else:
-    # Single-core box: farming cannot help; only guard that the farmed path
-    # does not collapse under its own handoff overhead.
-    required = 0.5
-
-marker = "FAIL" if speedup < required else "ok"
-print(
-    f"intra: {case['nodes']}-node constraint graph, {case['sccs']} SCCs, "
-    f"{case['workers']} worker(s) on {cores} core(s): seq {case['seq_ms']:.3f} ms -> "
-    f"par {case['par_ms']:.3f} ms (speedup {speedup:.2f}x, required >= {required:.2f}x) {marker}"
-)
-if speedup < required:
-    print(
-        f"bench_check FAILED: intra-graph speedup {speedup:.2f}x below the "
-        f"{required:.2f}x floor for this machine",
-        file=sys.stderr,
-    )
-    sys.exit(1)
-print("bench_check passed: intra-graph SCC farming above the machine-relative floor")
-EOF
+}
 
 # ---- gate 2: batch serving path --------------------------------------------
 # bench_batch exits non-zero itself when results are not bit-identical
 # across thread counts.
-"$batch_bin" "$fresh_batch"
-
-python3 - "$fresh_batch" <<'EOF'
+gate_2() {
+  bench_ok "$batch_rc" bench_batch || return 1
+  python3 - "$fresh_batch" <<'EOF'
 import json
 import sys
 
@@ -458,14 +440,17 @@ if speedup < required:
     sys.exit(1)
 print("bench_check passed: batch parallel efficiency above the machine-relative floor")
 EOF
+}
 
 # ---- gate 1h: duplicate-heavy serving traffic (within-run) -----------------
-python3 - "$fresh_batch" <<'EOF'
+gate_1h() {
+  bench_ok "$batch_rc" bench_batch || return 1
+  python3 - "$fresh_batch" <<'EOF'
 import json
 import sys
 
 RESUBMIT_FLOOR = 5.0  # fully-warm pass vs cache-off, 90% duplicates, 1 worker
-COLD_FLOOR = 1.5      # cold first pass (in-batch late hits only) vs cache-off
+COLD_FLOOR = 1.5      # cold first pass (in-batch dedupe only) vs cache-off
 
 with open(sys.argv[1]) as f:
     run = json.load(f)
@@ -501,7 +486,7 @@ for case in mix:
         f"{marker}"
     )
     # The constructed duplicate rate must show up as the cold hit rate (the
-    # late-hit path engaged) and the resubmission pass must be all hits.
+    # in-batch dedupe engaged) and the resubmission pass must be all hits.
     if abs(case["hit_rate_cold"] - dup) > 0.02:
         failures.append(
             f"dup={dup:.0%}: cold hit rate {case['hit_rate_cold']:.1%} far from the "
@@ -527,3 +512,36 @@ if failures:
     sys.exit(1)
 print("bench_check passed: result cache pays on duplicate-heavy traffic")
 EOF
+}
+
+# ---- run every gate, then the summary ---------------------------------------
+summary=()
+failed=0
+run_gate() {  # run_gate <id> <description>: runs gate_<id>
+  echo
+  echo "---- gate $1: $2"
+  if "gate_$1"; then
+    summary+=("$(printf 'PASS  gate %-3s %s' "$1" "$2")")
+  else
+    summary+=("$(printf 'FAIL  gate %-3s %s' "$1" "$2")")
+    failed=$((failed + 1))
+  fi
+}
+
+run_gate 1 "stride constraint build vs the BENCH_hotpath.json baseline"
+run_gate 1b "incremental patch vs full rebuild"
+run_gate 1c "cross-variant DSE patch vs cold rebuild"
+run_gate 1d "e2e warm-start DSE sweep vs cold"
+run_gate 1f "symbolic-region sweep vs warm per-point"
+run_gate 1e "warm scenario analysis vs cold per-state"
+run_gate 2 "batch parallel efficiency"
+run_gate 1h "result cache on duplicate-heavy traffic"
+
+echo
+echo "==== bench_check summary ===="
+printf '%s\n' "${summary[@]}"
+if ((failed > 0)); then
+  echo "bench_check FAILED: $failed of ${#summary[@]} gates failed"
+  exit 1
+fi
+echo "bench_check passed: all ${#summary[@]} gates"

@@ -364,41 +364,23 @@ struct ThroughputService::VariantRun {
   u64 gen = 0;
 };
 
-/// One intra-graph farm-out in flight: a nested batch of independent
-/// indexed tasks (the per-SCC MCRP sub-solves of one constraint graph)
-/// shared between the owning worker and any idle pool workers. Claiming is
-/// a single atomic counter — each index runs exactly once, on whichever
-/// thread grabs it first — and the owner claims until the counter is
-/// exhausted before waiting, so the group always completes even if no
-/// helper ever arrives (shutdown-safe and deadlock-free by construction:
-/// nobody waits on work that is not already running to completion).
-struct ThroughputService::SubtaskGroup {
-  void (*fn)(void*, std::int32_t) = nullptr;
-  void* ctx = nullptr;
-  std::int32_t n = 0;
-  std::atomic<std::int32_t> next{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  std::int32_t done = 0;  // guarded by mu
-};
-
 /// Completion rendezvous for one blocking batch dispatch, living on the
 /// dispatcher's stack: workers decrement `remaining` as jobs finish and the
 /// last one notifies. A per-batch countdown instead of the old global
 /// job_done_ broadcast means a 10^5-job batch wakes its dispatcher once,
-/// not 10^5 times.
+/// not 10^5 times. Every access to `remaining` holds `mu` — the dispatcher
+/// may return (freeing this object) the moment it sees zero, so a worker's
+/// last touch must be inside the critical section that makes it zero.
 struct ThroughputService::BatchSync {
-  std::atomic<std::size_t> remaining{0};
   std::mutex mu;
   std::condition_variable cv;
+  std::size_t remaining = 0;  // guarded by mu
 };
 
 /// One work-queue shard: an independently-locked deque. The owning worker
 /// pops the BACK (LIFO — the freshest job's graph is the one most likely
-/// still warm in cache) unless a front-of-queue subtask marker is waiting;
-/// thieves and markers use the FRONT (steals take the oldest job, markers
-/// preempt). depth_high_water is written under mu, read lock-free by
-/// stats().
+/// still warm in cache); thieves take the FRONT (the oldest job).
+/// depth_high_water is written under mu, read lock-free by stats().
 struct ThroughputService::Shard {
   std::mutex mu;
   std::deque<std::shared_ptr<Job>> jobs;
@@ -407,15 +389,12 @@ struct ThroughputService::Shard {
 
 /// One enqueued request. Batch jobs reference the caller's span (valid for
 /// the whole blocking analyze_batch call); submitted jobs own theirs;
-/// variant jobs name a (run, delta index) pair instead of carrying a graph;
-/// helper-marker jobs carry a SubtaskGroup and nothing else (one marker =
-/// one invitation for an idle worker to join that group).
+/// variant jobs name a (run, delta index) pair instead of carrying a graph.
 struct ThroughputService::Job {
   const AnalysisRequest* request = nullptr;
   AnalysisRequest owned;
   const VariantRun* variant = nullptr;
   std::size_t variant_index = 0;
-  std::shared_ptr<SubtaskGroup> group;
   i64 id = -1;
   Stopwatch queued;
   Analysis result;
@@ -426,6 +405,9 @@ struct ThroughputService::Job {
   // never poison the cache).
   bool cacheable = false;
   ContentKey key;
+  /// In-batch twin: index (within its dispatch) of the earlier job with the
+  /// same key whose result this one replays; -1 = dispatched itself.
+  std::ptrdiff_t twin_of = -1;
 
   // Completion plumbing: exactly one of these is used. Batch jobs count
   // down their dispatcher's BatchSync; ticketed (submit/wait) jobs flip
@@ -453,19 +435,6 @@ ThroughputService::ThroughputService(ServiceOptions options)
   // mode and analyze()); index n is the caller's.
   workers_.reserve(static_cast<std::size_t>(n) + 1);
   for (int i = 0; i <= n; ++i) workers_.push_back(std::make_unique<Worker>());
-  // Resolve the intra-graph cap against the actual pool: with no pool
-  // threads every solve runs the sequential decomposed path inline, so a
-  // cap above 1 buys nothing but still flips every KIter solve onto the
-  // partitioned solver (the point in inline mode: same results as the
-  // threaded service, testable single-threaded).
-  if (options.intra_graph_threads != 0) {
-    intra_limit_ = options.intra_graph_threads < 0
-                       ? std::max(1, n)
-                       : std::min(options.intra_graph_threads, std::max(1, n));
-    for (const std::unique_ptr<Worker>& w : workers_) {
-      w->workspace.intra = &intra_executor_;
-    }
-  }
   // Default: one shard per worker, so an uncontended pool never shares a
   // queue lock. More shards than workers is legal (served by stealing).
   const int m = options.queue_shards > 0 ? options.queue_shards : std::max(1, n);
@@ -495,11 +464,8 @@ ThroughputService::~ThroughputService() {
   for (std::thread& t : threads_) t.join();
   // Requests still queued at shutdown complete as Budget so pending wait()
   // calls (which must finish before destruction returns control to the
-  // caller) observe a well-formed result. Helper markers are invitations,
-  // not requests: the owning worker always finishes its own group, so a
-  // dropped marker needs no result.
+  // caller) observe a well-formed result.
   for (const std::shared_ptr<Job>& job : orphans) {
-    if (job->group != nullptr) continue;
     job->result.method = job->method();
     job->result.outcome = Outcome::Budget;
     job->result.detail = "service shut down before execution";
@@ -527,15 +493,11 @@ ServiceStats ThroughputService::stats() const {
   return s;
 }
 
-void ThroughputService::enqueue(std::shared_ptr<Job> job, std::size_t shard, bool front) {
+void ThroughputService::enqueue(std::shared_ptr<Job> job, std::size_t shard) {
   Shard& s = *shards_[shard % shards_.size()];
   {
     std::lock_guard<std::mutex> lk(s.mu);
-    if (front) {
-      s.jobs.push_front(std::move(job));
-    } else {
-      s.jobs.push_back(std::move(job));
-    }
+    s.jobs.push_back(std::move(job));
     const u64 depth = s.jobs.size();
     if (depth > s.depth_high_water.load(std::memory_order_relaxed)) {
       s.depth_high_water.store(depth, std::memory_order_relaxed);
@@ -565,23 +527,14 @@ std::shared_ptr<ThroughputService::Job> ThroughputService::take_job(std::size_t 
     Shard& s = *shards_[own_shard];
     std::lock_guard<std::mutex> lk(s.mu);
     if (!s.jobs.empty()) {
-      std::shared_ptr<Job> job;
-      if (s.jobs.front()->group != nullptr) {
-        // A subtask marker waits at the front: nested work inside a job
-        // some worker already owns beats starting anything new.
-        job = std::move(s.jobs.front());
-        s.jobs.pop_front();
-      } else {
-        job = std::move(s.jobs.back());  // LIFO: freshest first
-        s.jobs.pop_back();
-      }
+      std::shared_ptr<Job> job = std::move(s.jobs.back());  // LIFO: freshest first
+      s.jobs.pop_back();
       pending_.fetch_sub(1, std::memory_order_relaxed);
       return job;
     }
   }
   // Own shard dry: steal the OLDEST entry of another shard (FIFO keeps a
-  // steal from fighting the owner over its freshest work, and drains
-  // markers first since markers live at the front).
+  // steal from fighting the owner over its freshest work).
   for (std::size_t i = 1; i < m; ++i) {
     Shard& s = *shards_[(own_shard + i) % m];
     std::lock_guard<std::mutex> lk(s.mu);
@@ -608,13 +561,6 @@ void ThroughputService::worker_loop(int worker_id) {
       });
       continue;
     }
-    if (job->group != nullptr) {
-      // Helper marker: join the nested group until its counter is
-      // exhausted, then go back to the queue. No completion bookkeeping —
-      // nobody waits on the marker itself.
-      help(*job->group);
-      continue;
-    }
     run_job(*job, worker_id);
     complete_job(job);
   }
@@ -629,10 +575,10 @@ void ThroughputService::complete_job(const std::shared_ptr<Job>& job) {
     job_done_.notify_all();
   }
   if (BatchSync* sync = job->sync) {
-    if (sync->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lk(sync->mu);
-      sync->cv.notify_all();
-    }
+    // Decrement and notify under the lock (see BatchSync): once the count
+    // reaches zero the dispatcher may free `sync` as soon as mu is free.
+    std::lock_guard<std::mutex> lk(sync->mu);
+    if (--sync->remaining == 0) sync->cv.notify_one();
   }
 }
 
@@ -669,8 +615,8 @@ void ThroughputService::run_job(Job& job, int worker_id) {
       bool served = false;
       if (job.cacheable) {
         // Late hit: an identical request completed (or was already cached)
-        // while this one sat in a queue. This is where duplicate-heavy
-        // batches win — the first copy solves, every sibling replays.
+        // while this one sat in a queue — a submit() twin, or a copy from
+        // a concurrent batch (in-batch twins never reach a queue).
         if (std::optional<Analysis> hit = cache_.find(job.key)) {
           cache_hits_.fetch_add(1, std::memory_order_relaxed);
           job.result = std::move(*hit);
@@ -701,77 +647,6 @@ void ThroughputService::run_job(Job& job, int worker_id) {
   job.result.request_id = job.id;
   job.result.worker_id = worker_id;
   job.result.queue_ms = queue_ms;
-}
-
-void ThroughputService::help(SubtaskGroup& group) {
-  // Claim-until-exhausted: each fetch_add hands out one index exactly once,
-  // whichever thread gets there first. The group is complete when every
-  // CLAIMED index has also FINISHED (`done`), not merely been handed out —
-  // the owner may observe next >= n while a helper is still inside fn.
-  for (;;) {
-    const std::int32_t i = group.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= group.n) return;
-    group.fn(group.ctx, i);
-    std::int32_t done;
-    {
-      std::lock_guard<std::mutex> lk(group.mu);
-      done = ++group.done;
-    }
-    if (done == group.n) group.cv.notify_all();
-  }
-}
-
-void ThroughputService::run_subtasks(std::int32_t n, void (*fn)(void*, std::int32_t),
-                                     void* ctx) {
-  // Helpers beyond the pool are impossible (no thread is ever spawned
-  // here), beyond the cap are disallowed, and beyond n - 1 are useless
-  // (the owner is already one of the n claimants).
-  int helpers = std::min(static_cast<int>(threads_.size()), intra_limit_ - 1);
-  helpers = std::min(helpers, n - 1);
-  if (helpers <= 0 || n <= 1) {
-    for (std::int32_t i = 0; i < n; ++i) fn(ctx, i);
-    return;
-  }
-  auto group = std::make_shared<SubtaskGroup>();
-  group->fn = fn;
-  group->ctx = ctx;
-  group->n = n;
-  if (!stopping_.load(std::memory_order_relaxed)) {
-    // Markers go to the FRONT of consecutive shards: nested work is the
-    // inside of a job some worker already owns, so finishing it beats
-    // starting fresh jobs — and a helper that pops one returns to the
-    // queue as soon as the counter runs dry, so batch jobs are delayed,
-    // never starved. A marker stranded by a concurrent shutdown is
-    // harmless: the owner below never depends on helpers, and exiting
-    // workers drain leftovers before parking.
-    const std::size_t m = shards_.size();
-    const u64 base =
-        next_shard_rr_.fetch_add(static_cast<u64>(helpers), std::memory_order_relaxed);
-    for (int i = 0; i < helpers; ++i) {
-      auto marker = std::make_shared<Job>();
-      marker->group = group;
-      enqueue(std::move(marker), static_cast<std::size_t>((base + static_cast<u64>(i)) % m),
-              /*front=*/true);
-    }
-    wake_workers(true);
-  }
-  // The owner claims like any helper; by the time help() returns every
-  // index has been claimed, so the wait below is only for helpers still
-  // finishing their last claimed index (usually zero wait).
-  help(*group);
-  std::unique_lock<std::mutex> lk(group->mu);
-  group->cv.wait(lk, [&] { return group->done == group->n; });
-}
-
-void ThroughputService::IntraExecutor::run_indexed(std::int32_t n,
-                                                   void (*fn)(void*, std::int32_t),
-                                                   void* ctx) {
-  service_->run_subtasks(n, fn, ctx);
-}
-
-int ThroughputService::IntraExecutor::concurrency() const noexcept {
-  const int pool = std::max(1, static_cast<int>(service_->threads_.size()));
-  return std::max(1, std::min(service_->intra_limit_, pool));
 }
 
 Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index,
@@ -896,11 +771,29 @@ std::vector<Analysis> ThroughputService::run_symbolic_variants(const VariantRun&
 
 std::vector<Analysis> ThroughputService::dispatch_and_wait(
     std::vector<std::shared_ptr<Job>>& jobs, const char* what) {
+  // In-batch dedupe: a cacheable job whose exact key an earlier job of this
+  // batch carries never runs; it replays that first copy's result below.
+  // Without it, twins dealt to different shards could both miss the cache
+  // and both solve. The digest only buckets; equality compares the words.
+  std::unordered_multimap<u64, std::size_t> first_by_digest;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    Job& job = *jobs[i];
+    if (!job.cacheable) continue;
+    const auto [lo, hi] = first_by_digest.equal_range(job.key.digest);
+    const auto first =
+        std::find_if(lo, hi, [&](const auto& entry) { return jobs[entry.second]->key == job.key; });
+    if (first != hi) {
+      job.twin_of = static_cast<std::ptrdiff_t>(first->second);
+    } else {
+      first_by_digest.emplace(job.key.digest, i);
+    }
+  }
+
   if (inline_mode()) {
     Worker& caller = *workers_.back();
     std::lock_guard<std::mutex> wk(caller.in_use);
     for (const std::shared_ptr<Job>& job : jobs) {
-      run_job(*job, static_cast<int>(workers_.size()) - 1);
+      if (job->twin_of < 0) run_job(*job, static_cast<int>(workers_.size()) - 1);
     }
   } else {
     // Dispatch-time cache pass: hits bypass the queues entirely, so a
@@ -909,10 +802,10 @@ std::vector<Analysis> ThroughputService::dispatch_and_wait(
     BatchSync sync;
     std::size_t to_run = 0;
     for (const std::shared_ptr<Job>& job : jobs) {
-      if (!try_dispatch_hit(*job)) ++to_run;
+      if (job->twin_of < 0 && !try_dispatch_hit(*job)) ++to_run;
     }
     if (to_run > 0) {
-      sync.remaining.store(to_run, std::memory_order_relaxed);
+      sync.remaining = to_run;
       {
         std::lock_guard<std::mutex> lk(state_mu_);
         if (stopping_.load(std::memory_order_relaxed)) {
@@ -922,16 +815,14 @@ std::vector<Analysis> ThroughputService::dispatch_and_wait(
         // queue gets a contiguous slice to chew through LIFO.
         u64 rr = next_shard_rr_.fetch_add(to_run, std::memory_order_relaxed);
         for (const std::shared_ptr<Job>& job : jobs) {
-          if (job->served_at_dispatch) continue;
+          if (job->twin_of >= 0 || job->served_at_dispatch) continue;
           job->sync = &sync;
-          enqueue(job, static_cast<std::size_t>(rr++ % shards_.size()), /*front=*/false);
+          enqueue(job, static_cast<std::size_t>(rr++ % shards_.size()));
         }
       }
       wake_workers(true);
       std::unique_lock<std::mutex> lk(sync.mu);
-      sync.cv.wait(lk, [&] {
-        return sync.remaining.load(std::memory_order_acquire) == 0;
-      });
+      sync.cv.wait(lk, [&] { return sync.remaining == 0; });
     }
   }
 
@@ -939,7 +830,17 @@ std::vector<Analysis> ThroughputService::dispatch_and_wait(
   results.reserve(jobs.size());
   for (const std::shared_ptr<Job>& job : jobs) {
     if (job->error) std::rethrow_exception(job->error);
-    results.push_back(std::move(job->result));
+    if (job->twin_of < 0) {
+      results.push_back(std::move(job->result));
+      continue;
+    }
+    // A twin's first copy precedes it, so that result is already in place
+    // (an error there was rethrown above). Stamped like a dispatch hit.
+    Analysis twin = results[static_cast<std::size_t>(job->twin_of)];
+    twin.request_id = job->id;
+    twin.queue_ms = 0.0;
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    results.push_back(std::move(twin));
   }
   return results;
 }
@@ -1050,7 +951,7 @@ i64 ThroughputService::submit(AnalysisRequest request) {
               : static_cast<std::size_t>(
                     next_shard_rr_.fetch_add(1, std::memory_order_relaxed)) %
                     shards_.size();
-      enqueue(job, shard, /*front=*/false);
+      enqueue(job, shard);
     }
   }
   if (hit) {

@@ -22,7 +22,9 @@
 //     wall-clock limits — a deadline_ms or a time_budget_ms races real
 //     time, so its budget-limited rows can flip under worker contention;
 //     structural budgets (max_constraint_pairs, max_states) stay
-//     deterministic at any thread count;
+//     deterministic at any thread count. With the cache on, identical
+//     cacheable requests within one call are solved once (in-batch
+//     dedupe, below);
 //   * submit(request) / wait(id) — async: enqueue now, collect later;
 //   * analyze(graph, method, ...) — serve one request inline on the
 //     calling thread (what analyze_throughput uses).
@@ -36,10 +38,15 @@
 // (util/lru_cache.hpp), equality compares the flattened words exactly, so
 // a cache hit is guaranteed bit-identical — outcome, period, throughput,
 // detail string, critical_cycle cert — to re-running the solve. A hit
-// found at dispatch bypasses the queue entirely; a duplicate that was
-// already queued when its twin completed is served by a second lookup on
-// the worker (a "late hit" — the solve is skipped, which is where the
-// money is). Requests that race wall-clock or carry cancellation hooks
+// found at dispatch bypasses the queue entirely. Within one analyze_batch
+// call, every cacheable request whose exact key an earlier request of the
+// same call carries is a twin: only the first copy is dispatched, and each
+// twin replays its result once the batch completes, stamped and counted
+// like a dispatch hit — so a batch solves each distinct request at most
+// once, whatever the shard layout. Across concurrent calls there is no
+// such coalescing; a submit() twin that was already queued when its first
+// copy completed is served by a second lookup on the worker (a "late
+// hit"). Requests that race wall-clock or carry cancellation hooks
 // (deadline_ms >= 0, a cancellable token, a poll hook, a time budget) are
 // NEVER cached — their outcome is not a pure function of content — and
 // variant-batch/scenario analyses keep using the cross-variant constraint
@@ -50,12 +57,9 @@
 // first — the producer just touched that memory), batch dispatch deals
 // jobs round-robin and submit() routes by content hash, and a worker whose
 // shard runs dry STEALS the oldest job of another shard (FIFO steal), so
-// one slow Deadlock-bound request serializes nothing but itself. The
-// intra-graph subtask markers of ServiceOptions::intra_graph_threads ride
-// the same shards at front-of-queue priority: idle workers steal markers
-// like any other job, and the owner still claims every index itself, so
-// completion never depends on a helper arriving (deadlock-free even with
-// one worker and many shards).
+// one slow Deadlock-bound request serializes nothing but itself. Queues
+// carry requests only; each request's MCRP solves run on the worker that
+// took it.
 //
 // Every moving part is observable: stats() snapshots cache hit/miss/
 // eviction counters, steal counts, per-shard queue-depth high-water marks
@@ -96,7 +100,6 @@
 #include "util/hash.hpp"
 #include "util/histogram.hpp"
 #include "util/lru_cache.hpp"
-#include "util/parallel.hpp"
 
 namespace kp {
 
@@ -153,29 +156,12 @@ struct ServiceOptions {
   /// workspace. < 0 = one worker per available hardware thread.
   int threads = -1;
 
-  /// Intra-graph parallelism (0 = off, the default). When non-zero, every
-  /// KIter analysis solves its constraint graph's MCRP SCC-decomposed
-  /// (mcrp/cycle_ratio.hpp): the per-SCC sub-solves of ONE graph are farmed
-  /// across the SAME worker pool through a nested task API — an idle worker
-  /// picks up another worker's components, the owning worker claims
-  /// whatever nobody takes, and no thread beyond `threads` ever exists, so
-  /// batch-level and intra-graph work share the pool without
-  /// oversubscription. The value caps how many workers (counting the owner)
-  /// one solve may use; < 0 = the whole pool. Results follow the
-  /// partitioned determinism contract: bit-identical at any `threads` AND
-  /// any `intra_graph_threads` (including inline mode, where the solve
-  /// degrades to the sequential decomposed oracle), but the reported
-  /// co-critical circuit may differ from the whole-graph solver's — which
-  /// is why this is opt-in rather than always-on.
-  int intra_graph_threads = 0;
-
   /// Work-queue shards. Each worker owns shard (worker_id mod shards),
-  /// pops its own shard LIFO (front-of-queue subtask markers first), and
-  /// steals the OLDEST job of another shard when its own runs dry. <= 0 =
-  /// one shard per worker, the default; more shards than workers is legal
-  /// (the extra shards are served purely by stealing — useful for tests
-  /// and for keeping submit()'s content-hash placement stable while the
-  /// pool is resized).
+  /// pops its own shard LIFO, and steals the OLDEST job of another shard
+  /// when its own runs dry. <= 0 = one shard per worker, the default; more
+  /// shards than workers is legal (the extra shards are served purely by
+  /// stealing — useful for tests and for keeping submit()'s content-hash
+  /// placement stable while the pool is resized).
   int queue_shards = 0;
 
   /// Entries the content-addressed result cache may hold; 0 disables
@@ -191,8 +177,9 @@ struct ServiceOptions {
 /// readable at any moment without stopping the pool (stats() reads relaxed
 /// atomics only; numbers lag in-flight work by at most one increment).
 struct ServiceStats {
-  // Content-addressed result cache. hits counts dispatch bypasses AND
-  // late hits on a worker; hits + misses = cacheable requests completed.
+  // Content-addressed result cache. hits counts dispatch bypasses,
+  // in-batch twins AND late hits on a worker; hits + misses = cacheable
+  // requests completed.
   // Uncacheable requests (deadlines, cancel tokens, poll hooks, variant
   // batches) touch none of these.
   u64 cache_hits = 0;
@@ -202,7 +189,7 @@ struct ServiceStats {
   std::size_t cache_capacity = 0;  ///< 0 = cache disabled
 
   // Sharded-queue activity.
-  u64 steals = 0;         ///< jobs (or subtask markers) taken from a foreign shard
+  u64 steals = 0;         ///< jobs taken from a foreign shard
   u64 jobs_executed = 0;  ///< analyses actually solved (cache hits excluded)
   std::vector<u64> shard_depth_high_water;  ///< max queued jobs ever, per shard
 
@@ -328,7 +315,11 @@ class ThroughputService {
   /// Analyzes every request over the pool. results[i] answers requests[i]
   /// with request_id == i; the value fields (outcome/quality/period/
   /// throughput/k-detail) are deterministic regardless of worker_count()
-  /// and of the result cache being on or off.
+  /// and of the result cache being on or off. With the cache on, cacheable
+  /// requests with identical content are solved once per call: later
+  /// copies replay the first copy's result with queue_ms 0 and count as
+  /// cache hits, so stats().jobs_executed grows by at most the number of
+  /// distinct requests.
   [[nodiscard]] std::vector<Analysis> analyze_batch(std::span<const AnalysisRequest> requests);
 
   /// Analyzes every variant of `batch.base` over the pool: results[i]
@@ -374,23 +365,8 @@ class ThroughputService {
  private:
   struct Job;
   struct VariantRun;
-  struct SubtaskGroup;
   struct BatchSync;
   struct Shard;
-
-  /// The pool-backed ParallelExecutor installed on every worker workspace
-  /// when intra_graph_threads is enabled. run_indexed publishes helper
-  /// markers to the service queue and claims indices on the calling thread
-  /// until exhausted, so completion never depends on a helper arriving.
-  class IntraExecutor final : public ParallelExecutor {
-   public:
-    explicit IntraExecutor(ThroughputService* service) : service_(service) {}
-    void run_indexed(std::int32_t n, void (*fn)(void*, std::int32_t), void* ctx) override;
-    [[nodiscard]] int concurrency() const noexcept override;
-
-   private:
-    ThroughputService* service_;
-  };
 
   struct Worker {
     KIterWorkspace workspace;
@@ -413,12 +389,10 @@ class ThroughputService {
 
   void worker_loop(int worker_id);
   void run_job(Job& job, int worker_id);
-  void run_subtasks(std::int32_t n, void (*fn)(void*, std::int32_t), void* ctx);
-  static void help(SubtaskGroup& group);
   void prepare_cache_key(Job& job) const;
   [[nodiscard]] bool try_dispatch_hit(Job& job);
   void complete_job(const std::shared_ptr<Job>& job);
-  void enqueue(std::shared_ptr<Job> job, std::size_t shard, bool front);
+  void enqueue(std::shared_ptr<Job> job, std::size_t shard);
   void wake_workers(bool all);
   [[nodiscard]] std::shared_ptr<Job> take_job(std::size_t own_shard);
   Analysis run_variant(const VariantRun& run, std::size_t index, Worker& worker);
@@ -429,8 +403,6 @@ class ThroughputService {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-  IntraExecutor intra_executor_{this};
-  int intra_limit_ = 0;  ///< resolved workers-per-solve cap; 0 = off
 
   // Sharded queues + sleep/wake protocol: shard deques are individually
   // locked; pending_ counts queued entries across all shards so an idle

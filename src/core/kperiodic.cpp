@@ -7,24 +7,12 @@ namespace kp {
 namespace {
 
 /// Shared round tail: MCRP solve (no potentials) + critical-task refresh.
-/// With ws.intra set the solve runs SCC-partitioned over the executor (and
-/// the round's poll hook reaches between component solves, so a
-/// cancellation mid-solve aborts cleanly instead of finishing the graph).
-KEvalStatus solve_round(const McrpOptions& mcrp, KIterWorkspace& ws,
-                        const ConstraintPoll* poll) {
+KEvalStatus solve_round(const McrpOptions& mcrp, KIterWorkspace& ws) {
   McrpOptions options = mcrp;
   options.compute_potentials = false;
   const Stopwatch solve_clock;
-  if (ws.intra != nullptr) {
-    const bool completed = solve_max_cycle_ratio_partitioned(
-        ws.constraints.graph, options, ws.farm, ws.solved, ws.intra,
-        poll != nullptr ? poll->fn : nullptr, poll != nullptr ? poll->ctx : nullptr);
-    ws.round_solve_ms += solve_clock.elapsed_ms();
-    if (!completed) return KEvalStatus::Aborted;
-  } else {
-    solve_max_cycle_ratio(ws.constraints.graph, options, ws.mcrp, ws.solved);
-    ws.round_solve_ms += solve_clock.elapsed_ms();
-  }
+  solve_max_cycle_ratio(ws.constraints.graph, options, ws.mcrp, ws.solved);
+  ws.round_solve_ms += solve_clock.elapsed_ms();
   ws.constraints.tasks_on_circuit_into(ws.solved.critical_cycle, ws.task_seen,
                                        ws.critical_tasks);
   if (ws.solved.status == McrpStatus::Infeasible) return KEvalStatus::InfeasibleK;
@@ -45,7 +33,7 @@ KEvalStatus evaluate_k_periodic_round(const CsdfGraph& g, const RepetitionVector
   const bool built = build_constraint_graph_into(g, rv, k, ws.constraints, poll);
   ws.round_build_ms += build_clock.elapsed_ms();
   if (!built) return KEvalStatus::Aborted;
-  return solve_round(mcrp, ws, poll);
+  return solve_round(mcrp, ws);
 }
 
 KEvalStatus evaluate_k_periodic_round_incremental(const CsdfGraph& g, const RepetitionVector& rv,
@@ -56,7 +44,7 @@ KEvalStatus evaluate_k_periodic_round_incremental(const CsdfGraph& g, const Repe
   const bool built = build_constraint_graph_incremental(g, rv, k, ws.constraints, ws.cache, poll);
   ws.round_build_ms += build_clock.elapsed_ms();
   if (!built) return KEvalStatus::Aborted;
-  return solve_round(mcrp, ws, poll);
+  return solve_round(mcrp, ws);
 }
 
 KPeriodicSchedule schedule_from_potentials(const CsdfGraph& g, const RepetitionVector& rv,

@@ -22,8 +22,8 @@ enum class KEvalStatus {
   Feasible,     ///< a K-periodic schedule exists; `schedule` is the fastest
   InfeasibleK,  ///< no K-periodic schedule for this K (the paper's "N/S")
   Unbounded,    ///< period 0 feasible: no circuit constrains the rate
-  Aborted,      ///< a poll stopped the round mid-generation (ConstraintPoll)
-                ///< or mid-solve (partitioned MCRP, between SCCs); no result
+  Aborted,      ///< a ConstraintPoll stopped constraint generation
+                ///< mid-round (the MCRP solve never aborts); no result
 };
 
 /// A complete K-periodic schedule (Definition §2.4): the first K_t
@@ -108,27 +108,10 @@ struct KIterWorkspace {
   std::vector<TaskId> critical_tasks;
   std::vector<std::int8_t> task_seen;
 
-  /// Intra-graph parallelism (opt-in; see mcrp/cycle_ratio.hpp). Non-null
-  /// routes every round's MCRP solve through the SCC-partitioned solver,
-  /// farming the per-component solves through this executor — results are
-  /// bit-identical at ANY executor width (SerialExecutor included), but may
-  /// report a different co-critical circuit than the whole-graph solve, so
-  /// the default stays null and existing single-thread results stay
-  /// byte-stable. ThroughputService installs its pool-backed executor here
-  /// when ServiceOptions::intra_graph_threads is enabled. The pointee must
-  /// outlive every round run on this workspace.
-  ParallelExecutor* intra = nullptr;
-  /// Per-SCC sub-problem slots for the partitioned solver; reused across
-  /// rounds (and warm across L-only payload patches) exactly like `mcrp`.
-  McrpFarm farm;
-
-  /// Hard warm-state boundary for the MCRP solver(s): forces the next
-  /// solve — whole-graph or partitioned — fully cold. The DSE service
-  /// calls this wherever a sweep's warm chain must break.
-  void reset_solver_warm_start() noexcept {
-    mcrp.reset_warm_start();
-    farm.reset_warm_start();
-  }
+  /// Hard warm-state boundary for the MCRP solver: forces the next solve
+  /// fully cold. The DSE service calls this wherever a sweep's warm chain
+  /// must break.
+  void reset_solver_warm_start() noexcept { mcrp.reset_warm_start(); }
 
   /// Per-analysis phase-time accumulators, maintained by the round
   /// entry points: constraint generation (build or patch) vs MCRP solve.
@@ -143,10 +126,9 @@ struct KIterWorkspace {
 /// (without potentials — schedule extraction is a separate, final-round
 /// concern), and refreshes ws.critical_tasks from the critical (or witness)
 /// circuit. The period for a Feasible round is ws.solved.ratio. A non-null
-/// `poll` is forwarded into constraint generation (see ConstraintPoll) and,
-/// when ws.intra routes the solve through the partitioned solver, between
-/// its per-SCC solves; when it fires the round returns Aborted and the
-/// workspace holds partial state that must not be read.
+/// `poll` is forwarded into constraint generation (see ConstraintPoll);
+/// when it fires the round returns Aborted and the workspace holds a
+/// partial graph that must not be read.
 KEvalStatus evaluate_k_periodic_round(const CsdfGraph& g, const RepetitionVector& rv,
                                       const std::vector<i64>& k, const McrpOptions& mcrp,
                                       KIterWorkspace& ws, const ConstraintPoll* poll = nullptr);

@@ -129,93 +129,4 @@ CsdfGraph random_sdf(Rng& rng, RandomCsdfOptions options) {
   return g;
 }
 
-CsdfGraph random_multi_scc_csdf(Rng& rng, const MultiSccCsdfOptions& options) {
-  CsdfGraph g("random-multi-scc");
-  const std::int32_t clusters = std::max<std::int32_t>(1, options.clusters);
-
-  // Tasks first, cluster by cluster; q is drawn per task so every buffer's
-  // rate totals can be derived from it (consistency by construction, the
-  // same argument as random_csdf).
-  std::vector<std::int32_t> first_task(static_cast<std::size_t>(clusters) + 1, 0);
-  std::vector<i64> q;
-  for (std::int32_t c = 0; c < clusters; ++c) {
-    first_task[static_cast<std::size_t>(c)] = g.task_count();
-    const auto m = static_cast<std::int32_t>(
-        rng.uniform(options.min_cluster_tasks, options.max_cluster_tasks));
-    for (std::int32_t t = 0; t < m; ++t) {
-      const auto phases = static_cast<std::int32_t>(rng.uniform(1, options.max_phases));
-      std::vector<i64> durations(static_cast<std::size_t>(phases));
-      for (auto& d : durations) d = rng.uniform(options.min_duration, options.max_duration);
-      g.add_task("c" + std::to_string(c) + "_t" + std::to_string(t), std::move(durations));
-      q.push_back(rng.uniform(1, options.max_q));
-    }
-  }
-  first_task[static_cast<std::size_t>(clusters)] = g.task_count();
-
-  // One buffer with q-derived rates; cycle-closing buffers carry one full
-  // consumer iteration of tokens plus slack (liveness), others start empty
-  // or with a small random prefix.
-  auto add_link = [&](TaskId src, TaskId dst, bool closes_cycle) {
-    const i64 qs = q[static_cast<std::size_t>(src)];
-    const i64 qd = q[static_cast<std::size_t>(dst)];
-    const i64 gq = gcd64(qs, qd);
-    const i64 c = rng.uniform(1, options.max_rate_factor);
-    const i64 total_prod = checked_mul(c, qd / gq);
-    const i64 total_cons = checked_mul(c, qs / gq);
-    std::vector<i64> prod = random_composition(rng, total_prod, g.phases(src));
-    std::vector<i64> cons = random_composition(rng, total_cons, g.phases(dst));
-    i64 m0 = 0;
-    if (closes_cycle) {
-      m0 = checked_mul(total_cons, qd);
-      if (options.token_slack > 0) {
-        m0 = checked_add(m0, rng.uniform(0, checked_mul(options.token_slack, total_cons)));
-      }
-    } else if (rng.chance(1, 4)) {
-      m0 = rng.uniform(0, total_cons);
-    }
-    g.add_buffer("", src, dst, std::move(prod), std::move(cons), m0);
-  };
-
-  for (std::int32_t c = 0; c < clusters; ++c) {
-    const std::int32_t lo = first_task[static_cast<std::size_t>(c)];
-    const std::int32_t hi = first_task[static_cast<std::size_t>(c) + 1];
-    const std::int32_t m = hi - lo;
-    // Guaranteed ring: forward chain plus the closing arc — the cluster is
-    // strongly connected no matter what the chord dice roll.
-    for (std::int32_t t = 0; t + 1 < m; ++t) add_link(lo + t, lo + t + 1, false);
-    if (m > 1) add_link(hi - 1, lo, true);
-    // Random chords. With the ring in place every intra-cluster arc closes
-    // a cycle, so each carries a live marking.
-    for (std::int32_t a = 0; a < m; ++a) {
-      for (std::int32_t b = 0; b < m; ++b) {
-        if (a == b || (b == a + 1) || (a == m - 1 && b == 0)) continue;  // ring arcs exist
-        if (rng.chance(options.extra_arc_num, options.extra_arc_den * m)) {
-          add_link(lo + a, lo + b, m > 1);
-        }
-      }
-    }
-  }
-
-  // Inter-cluster links: strictly forward (lower cluster -> higher), so no
-  // directed cycle ever crosses a cluster boundary — the SCCs of the graph
-  // are exactly the clusters. The chain keeps the whole graph connected;
-  // extra forward links thicken the DAG.
-  auto pick_in = [&](std::int32_t cluster) {
-    return static_cast<TaskId>(rng.uniform(first_task[static_cast<std::size_t>(cluster)],
-                                           first_task[static_cast<std::size_t>(cluster) + 1] - 1));
-  };
-  for (std::int32_t c = 0; c + 1 < clusters; ++c) {
-    add_link(pick_in(c), pick_in(c + 1), false);
-  }
-  for (std::int32_t i = 0; i < clusters; ++i) {
-    for (std::int32_t j = i + 1; j < clusters; ++j) {
-      if (j == i + 1) continue;  // chain link already placed
-      if (rng.chance(options.link_num, options.link_den * clusters)) {
-        add_link(pick_in(i), pick_in(j), false);
-      }
-    }
-  }
-  return g;
-}
-
 }  // namespace kp

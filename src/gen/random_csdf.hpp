@@ -42,42 +42,4 @@ struct RandomCsdfOptions {
 /// SDF convenience: same generator with max_phases = 1.
 [[nodiscard]] CsdfGraph random_sdf(Rng& rng, RandomCsdfOptions options = {});
 
-/// Options for random_multi_scc_csdf: `clusters` strongly connected
-/// clusters of `min..max_cluster_tasks` tasks each, chained by
-/// forward-only inter-cluster buffers.
-struct MultiSccCsdfOptions {
-  std::int32_t clusters = 4;
-  std::int32_t min_cluster_tasks = 3;
-  std::int32_t max_cluster_tasks = 6;
-  std::int32_t max_phases = 3;  // 1 => SDF
-  i64 max_q = 8;
-  i64 max_rate_factor = 3;
-  i64 max_duration = 10;
-  i64 min_duration = 1;
-  /// Probability (num/den) of each extra intra-cluster arc per candidate
-  /// pair (all are cycle closing once the cluster ring exists, so all
-  /// carry a live marking).
-  i64 extra_arc_num = 1;
-  i64 extra_arc_den = 3;
-  /// Extra random tokens (0..slack · o_b) on cycle-closing arcs.
-  i64 token_slack = 1;
-  /// Probability (num/den) of an extra forward link between each ordered
-  /// cluster pair i < j beyond the chain links that keep the graph
-  /// connected.
-  i64 link_num = 1;
-  i64 link_den = 2;
-};
-
-/// Consistent, live CSDF graph whose strongly connected components are
-/// EXACTLY the requested clusters: each cluster is a guaranteed directed
-/// ring (plus random chords), and every inter-cluster buffer points from a
-/// lower-indexed cluster to a higher-indexed one, so no cycle ever crosses
-/// clusters. Because Theorem-2 constraint arcs follow buffer direction
-/// (unbounded buffers yield producer→consumer precedences only), the
-/// cluster structure survives into the constraint graph: its non-trivial
-/// SCCs nest inside the clusters. This is the workload the SCC-partitioned
-/// MCRP solver (mcrp/cycle_ratio.hpp) is built for — one graph, many
-/// independent cyclic cores.
-[[nodiscard]] CsdfGraph random_multi_scc_csdf(Rng& rng, const MultiSccCsdfOptions& options = {});
-
 }  // namespace kp

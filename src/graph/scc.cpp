@@ -89,64 +89,4 @@ bool arc_in_cycle(const Digraph& g, const SccResult& scc, std::int32_t arc_id) {
          scc.component_of[static_cast<std::size_t>(a.dst)];
 }
 
-void build_scc_partition(const Digraph& g, SccScratch& scratch, SccPartition& out) {
-  strongly_connected_components(g, scratch, out.scc);
-  const std::int32_t n = g.node_count();
-  const std::int32_t m = g.arc_count();
-  const std::int32_t comps = out.scc.component_count;
-  const std::vector<std::int32_t>& comp_of = out.scc.component_of;
-
-  // Counting sort of the nodes by component; ascending node ids within a
-  // component because the fill pass walks them ascending.
-  out.node_offsets.assign(static_cast<std::size_t>(comps) + 1, 0);
-  for (std::int32_t v = 0; v < n; ++v) {
-    ++out.node_offsets[static_cast<std::size_t>(comp_of[static_cast<std::size_t>(v)]) + 1];
-  }
-  for (std::int32_t c = 0; c < comps; ++c) {
-    out.node_offsets[static_cast<std::size_t>(c) + 1] +=
-        out.node_offsets[static_cast<std::size_t>(c)];
-  }
-  out.nodes.assign(static_cast<std::size_t>(n), 0);
-  out.local_of.assign(static_cast<std::size_t>(n), 0);
-  out.cursor_.assign(static_cast<std::size_t>(comps), 0);
-  for (std::int32_t v = 0; v < n; ++v) {
-    const auto c = static_cast<std::size_t>(comp_of[static_cast<std::size_t>(v)]);
-    const std::int32_t local = out.cursor_[c]++;
-    out.nodes[static_cast<std::size_t>(out.node_offsets[c] + local)] = v;
-    out.local_of[static_cast<std::size_t>(v)] = local;
-  }
-
-  // Same sort for the intra-component arcs (ascending arc ids within).
-  const std::span<const Digraph::Arc> all_arcs = g.arcs();
-  out.arc_offsets.assign(static_cast<std::size_t>(comps) + 1, 0);
-  for (std::int32_t a = 0; a < m; ++a) {
-    const auto& e = all_arcs[static_cast<std::size_t>(a)];
-    const std::int32_t c = comp_of[static_cast<std::size_t>(e.src)];
-    if (c == comp_of[static_cast<std::size_t>(e.dst)]) {
-      ++out.arc_offsets[static_cast<std::size_t>(c) + 1];
-    }
-  }
-  for (std::int32_t c = 0; c < comps; ++c) {
-    out.arc_offsets[static_cast<std::size_t>(c) + 1] +=
-        out.arc_offsets[static_cast<std::size_t>(c)];
-  }
-  out.arcs.assign(static_cast<std::size_t>(out.arc_offsets[static_cast<std::size_t>(comps)]), 0);
-  out.cursor_.assign(static_cast<std::size_t>(comps), 0);
-  for (std::int32_t a = 0; a < m; ++a) {
-    const auto& e = all_arcs[static_cast<std::size_t>(a)];
-    const auto c = static_cast<std::size_t>(comp_of[static_cast<std::size_t>(e.src)]);
-    if (static_cast<std::int32_t>(c) == comp_of[static_cast<std::size_t>(e.dst)]) {
-      out.arcs[static_cast<std::size_t>(out.arc_offsets[c] + out.cursor_[c]++)] = a;
-    }
-  }
-
-  out.nontrivial.clear();
-  for (std::int32_t c = 0; c < comps; ++c) {
-    if (out.arc_offsets[static_cast<std::size_t>(c) + 1] >
-        out.arc_offsets[static_cast<std::size_t>(c)]) {
-      out.nontrivial.push_back(c);
-    }
-  }
-}
-
 }  // namespace kp

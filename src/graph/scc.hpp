@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -49,56 +48,5 @@ void strongly_connected_components(const Digraph& g, SccScratch& scratch, SccRes
 /// True if the arc's endpoints are in the same SCC (the arc can be part of
 /// a circuit).
 [[nodiscard]] bool arc_in_cycle(const Digraph& g, const SccResult& scc, std::int32_t arc_id);
-
-/// Grouped SCC extraction for per-component sub-problems: nodes and
-/// intra-component arcs flattened by component, plus the node remapping a
-/// subgraph build needs. All index vectors are reused across calls (assign,
-/// never fresh allocation when warm), matching the scratch contract of the
-/// rest of the graph layer.
-///
-/// Components keep Tarjan's canonical numbering (reverse topological
-/// order), and both `nodes` and `arcs` are ascending within each component
-/// — so any per-component construction that walks them is deterministic
-/// regardless of how the components are later scheduled across threads.
-struct SccPartition {
-  SccResult scc;
-
-  /// Nodes grouped by component: component c's nodes are
-  /// nodes[node_offsets[c] .. node_offsets[c+1]), ascending node ids.
-  std::vector<std::int32_t> node_offsets;
-  std::vector<std::int32_t> nodes;
-  /// Original node -> its index within its component's node group.
-  std::vector<std::int32_t> local_of;
-
-  /// Intra-component arc ids grouped by component (an arc belongs to a
-  /// component iff both endpoints do), ascending within each group.
-  std::vector<std::int32_t> arc_offsets;
-  std::vector<std::int32_t> arcs;
-
-  /// Components with at least one internal arc (the only ones that can
-  /// carry a circuit), ascending — the canonical sub-problem order.
-  std::vector<std::int32_t> nontrivial;
-
-  /// Nodes of component c (ascending original ids).
-  [[nodiscard]] std::span<const std::int32_t> component_nodes(std::int32_t c) const {
-    return {nodes.data() + node_offsets[static_cast<std::size_t>(c)],
-            static_cast<std::size_t>(node_offsets[static_cast<std::size_t>(c) + 1] -
-                                     node_offsets[static_cast<std::size_t>(c)])};
-  }
-  /// Internal arcs of component c (ascending arc ids).
-  [[nodiscard]] std::span<const std::int32_t> component_arcs(std::int32_t c) const {
-    return {arcs.data() + arc_offsets[static_cast<std::size_t>(c)],
-            static_cast<std::size_t>(arc_offsets[static_cast<std::size_t>(c) + 1] -
-                                     arc_offsets[static_cast<std::size_t>(c)])};
-  }
-
- private:
-  friend void build_scc_partition(const Digraph&, SccScratch&, SccPartition&);
-  std::vector<std::int32_t> cursor_;  // counting-sort scratch
-};
-
-/// Runs the SCC pass (through `scratch`) and fills the grouped partition.
-/// Allocation-free when `out` is warm from a graph of no smaller size.
-void build_scc_partition(const Digraph& g, SccScratch& scratch, SccPartition& out);
 
 }  // namespace kp

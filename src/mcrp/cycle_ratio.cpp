@@ -1,7 +1,6 @@
 #include "mcrp/cycle_ratio.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "graph/csr.hpp"
@@ -378,187 +377,6 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   if (options.compute_potentials) {
     compute_mcrp_potentials(bg, lambda, scratch, out.potentials);
   }
-}
-
-namespace {
-
-/// Shared state of one partitioned solve; lives on the caller's stack for
-/// the duration of the farm-out. The abort flag is the only cross-thread
-/// mutable state (components are touched by exactly one thread each).
-struct FarmRun {
-  McrpFarm* farm = nullptr;
-  McrpOptions options;  // per-component: compute_potentials forced off
-  bool (*poll)(void*) = nullptr;
-  void* poll_ctx = nullptr;
-  std::atomic<bool> aborted{false};
-};
-
-/// The per-index farm task: solve one component into its own slot. Runs on
-/// the caller or on a pool helper; never throws (errors are captured into
-/// the slot and rethrown by the deterministic reduce).
-void solve_farm_component(void* p, std::int32_t index) {
-  FarmRun& run = *static_cast<FarmRun*>(p);
-  McrpFarm::Component& comp = *run.farm->components[static_cast<std::size_t>(index)];
-  comp.solved = false;
-  comp.error = nullptr;
-  if (run.aborted.load(std::memory_order_relaxed)) return;
-  if (run.poll != nullptr && run.poll(run.poll_ctx)) {
-    run.aborted.store(true, std::memory_order_relaxed);
-    return;
-  }
-  try {
-    solve_max_cycle_ratio(comp.sub, run.options, comp.scratch, comp.result);
-    // Report in the caller's coordinate system: local arc j is, by
-    // construction, the j-th internal arc of the component in ascending
-    // original-id order.
-    for (std::int32_t& a : comp.result.critical_cycle) {
-      a = comp.arc_ids[static_cast<std::size_t>(a)];
-    }
-    comp.solved = true;
-  } catch (...) {
-    comp.error = std::current_exception();
-  }
-}
-
-}  // namespace
-
-bool solve_max_cycle_ratio_partitioned(const BivaluedGraph& bg, const McrpOptions& options,
-                                       McrpFarm& farm, McrpResult& out, ParallelExecutor* exec,
-                                       bool (*poll)(void*), void* poll_ctx) {
-  out.status = McrpStatus::NoCycle;
-  out.ratio = Rational{0};
-  out.critical_cycle.clear();
-  out.potentials.clear();
-  out.iterations = 0;
-  out.exact_iterations = 0;
-  out.howard_iterations = 0;
-
-  const Digraph& g = bg.graph();
-  const std::int32_t n = g.node_count();
-  // Materialize the lazy CSR and layout stamp on this thread BEFORE any
-  // farm-out: both are mutable caches whose first computation is not
-  // reentrant (graph/digraph.hpp, mcrp/bivalued.hpp).
-  g.finalize();
-  const std::uint64_t stamp = bg.layout_stamp();
-  const std::span<const i64> costs = bg.costs();
-  const std::span<const Rational> times = bg.times();
-
-  const bool reuse = options.howard_warm_start && farm.warm_stamp != 0 &&
-                     farm.warm_stamp == stamp && farm.warm_nodes == n &&
-                     farm.warm_arcs == g.arc_count();
-  if (!reuse) {
-    farm.warm_stamp = 0;
-    build_scc_partition(g, farm.scc, farm.partition);
-    const SccPartition& part = farm.partition;
-    const auto m = part.nontrivial.size();
-    while (farm.components.size() < m) {
-      farm.components.push_back(std::make_unique<McrpFarm::Component>());
-    }
-    farm.active = static_cast<std::int32_t>(m);
-    const std::span<const Digraph::Arc> all_arcs = g.arcs();
-    for (std::size_t i = 0; i < m; ++i) {
-      McrpFarm::Component& comp = *farm.components[i];
-      const std::int32_t c = part.nontrivial[i];
-      comp.sub.reset(part.node_offsets[static_cast<std::size_t>(c) + 1] -
-                     part.node_offsets[static_cast<std::size_t>(c)]);
-      comp.arc_ids.clear();
-      comp.scratch.reset_warm_start();
-      for (const std::int32_t id : part.component_arcs(c)) {
-        const auto& e = all_arcs[static_cast<std::size_t>(id)];
-        comp.sub.add_arc(part.local_of[static_cast<std::size_t>(e.src)],
-                         part.local_of[static_cast<std::size_t>(e.dst)],
-                         costs[static_cast<std::size_t>(id)],
-                         times[static_cast<std::size_t>(id)]);
-        comp.arc_ids.push_back(id);
-      }
-    }
-    farm.warm_stamp = stamp;
-    farm.warm_nodes = n;
-    farm.warm_arcs = g.arc_count();
-  } else {
-    // Stamp-certified warm reuse: topology and H payloads are unchanged
-    // since the partition was built, so only the L costs need refreshing.
-    // set_cost preserves each subgraph's own layout stamp, which is what
-    // lets the per-component solves keep their Howard policies and cyclic
-    // cores across a parametric sweep's payload patches.
-    for (std::int32_t i = 0; i < farm.active; ++i) {
-      McrpFarm::Component& comp = *farm.components[static_cast<std::size_t>(i)];
-      for (std::size_t j = 0; j < comp.arc_ids.size(); ++j) {
-        comp.sub.set_cost(static_cast<std::int32_t>(j),
-                          costs[static_cast<std::size_t>(comp.arc_ids[j])]);
-      }
-    }
-  }
-
-  FarmRun run;
-  run.farm = &farm;
-  run.options = options;
-  run.options.compute_potentials = false;
-  run.poll = poll;
-  run.poll_ctx = poll_ctx;
-
-  const std::int32_t active = farm.active;
-  if (exec != nullptr && active > 1) {
-    exec->run_indexed(active, &solve_farm_component, &run);
-  } else {
-    for (std::int32_t i = 0; i < active; ++i) solve_farm_component(&run, i);
-  }
-
-  // ---- deterministic reduce, ascending canonical component order ----------
-  for (std::int32_t i = 0; i < active; ++i) {
-    if (farm.components[static_cast<std::size_t>(i)]->error) {
-      std::rethrow_exception(farm.components[static_cast<std::size_t>(i)]->error);
-    }
-  }
-  if (run.aborted.load(std::memory_order_relaxed)) return false;
-
-  if (active == 0) {
-    // No component carries a circuit: same contract as the whole-graph
-    // solver's NoCycle exit (ratio 0, potentials at λ = 0 if asked).
-    if (options.compute_potentials) {
-      compute_mcrp_potentials(bg, out.ratio, farm.aux, out.potentials);
-    }
-    return true;
-  }
-
-  std::int32_t winner = -1;  // lowest index achieving the max ratio
-  for (std::int32_t i = 0; i < active; ++i) {
-    const McrpResult& r = farm.components[static_cast<std::size_t>(i)]->result;
-    out.iterations += r.iterations;
-    out.exact_iterations += r.exact_iterations;
-    out.howard_iterations += r.howard_iterations;
-    if (out.status != McrpStatus::Infeasible) {
-      if (r.status == McrpStatus::Infeasible) {
-        out.status = McrpStatus::Infeasible;
-        out.critical_cycle = r.critical_cycle;
-      } else if (winner < 0 || r.ratio > out.ratio) {
-        winner = i;
-        out.ratio = r.ratio;
-      }
-    }
-  }
-  if (out.status == McrpStatus::Infeasible) return true;
-
-  out.status = McrpStatus::Optimal;
-  if (out.ratio.is_zero()) {
-    // λ == 0 tie over every component: prefer the lowest-indexed one that
-    // surfaced a zero-ratio critical circuit (mirrors the whole-graph
-    // solver's +H probe, which reports such a circuit iff one exists).
-    winner = -1;
-    for (std::int32_t i = 0; i < active; ++i) {
-      if (!farm.components[static_cast<std::size_t>(i)]->result.critical_cycle.empty()) {
-        winner = i;
-        break;
-      }
-    }
-  }
-  if (winner >= 0) {
-    out.critical_cycle = farm.components[static_cast<std::size_t>(winner)]->result.critical_cycle;
-  }
-  if (options.compute_potentials) {
-    compute_mcrp_potentials(bg, out.ratio, farm.aux, out.potentials);
-  }
-  return true;
 }
 
 bool has_positive_cycle(const BivaluedGraph& bg, std::span<const Rational> weights,

@@ -24,13 +24,10 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
-#include <memory>
 #include <vector>
 
 #include "mcrp/bivalued.hpp"
 #include "mcrp/howard.hpp"
-#include "util/parallel.hpp"
 
 namespace kp {
 
@@ -159,70 +156,6 @@ void solve_max_cycle_ratio(const BivaluedGraph& g, const McrpOptions& options,
 /// w(e) = L(e) - λ·H(e).
 [[nodiscard]] bool has_positive_cycle(const BivaluedGraph& g, std::span<const Rational> weights,
                                       McrpScratch& scratch);
-
-/// Per-SCC sub-problem slots for the partitioned solver. Each non-trivial
-/// strongly connected component of the last-partitioned graph owns one
-/// Component: its extracted subgraph, the local->original arc id map, a
-/// full private McrpScratch, and its solved result. Slots live behind
-/// unique_ptr so they are address-stable while helper threads write into
-/// them, and they are reused (capacity and warm solver state included)
-/// across rounds exactly like McrpScratch is.
-struct McrpFarm {
-  struct Component {
-    BivaluedGraph sub;                  ///< component subgraph, local node ids
-    std::vector<std::int32_t> arc_ids;  ///< local arc j -> original arc id
-    McrpScratch scratch;
-    McrpResult result;  ///< critical_cycle remapped to ORIGINAL arc ids
-    std::exception_ptr error;
-    bool solved = false;
-  };
-
-  SccScratch scc;
-  SccPartition partition;
-  std::vector<std::unique_ptr<Component>> components;
-  std::int32_t active = 0;  ///< components in use for the current layout
-
-  McrpScratch aux;  ///< whole-graph relaxation state (potentials pass)
-
-  /// Warm-start key mirroring McrpScratch's: the layout stamp + sizes of
-  /// the graph `partition`/`components` were built from. On a match (and
-  /// options.howard_warm_start) the partition and every subgraph are kept
-  /// and only L costs are refreshed — set_cost preserves each subgraph's
-  /// own stamp, so the per-component Howard/exact warm starts engage too.
-  std::uint64_t warm_stamp = 0;
-  std::int32_t warm_nodes = 0;
-  std::int32_t warm_arcs = 0;
-
-  void reset_warm_start() noexcept {
-    warm_stamp = 0;
-    for (const std::unique_ptr<Component>& c : components) {
-      if (c) c->scratch.reset_warm_start();
-    }
-  }
-};
-
-/// SCC-decomposed exact solve: partitions `g` into one sub-problem per
-/// non-trivial SCC (circuits cannot cross components, so the max cycle
-/// ratio is the max over per-component optima and an infeasibility witness
-/// in any component condemns the whole graph), solves every component
-/// independently through `exec` (nullptr = inline, ascending component
-/// order), and reduces deterministically: ties — including which component
-/// supplies the reported critical circuit — break by canonical (reverse
-/// topological) component index, so the result is BIT-identical at any
-/// executor width, including SerialExecutor and nullptr.
-///
-/// Versus the whole-graph solve_max_cycle_ratio: status and ratio are
-/// always identical; the reported co-critical circuit (and iteration
-/// counts) may legitimately differ, which is why callers opt in explicitly
-/// (KIterWorkspace::intra, ServiceOptions::intra_graph_threads).
-///
-/// `poll` (with `poll_ctx`) is checked before each component solve; when it
-/// fires the remaining components are skipped and the function returns
-/// false with `out` unspecified — the clean-abort contract mirrors
-/// constraint generation's ConstraintPoll. Returns true otherwise.
-[[nodiscard]] bool solve_max_cycle_ratio_partitioned(
-    const BivaluedGraph& g, const McrpOptions& options, McrpFarm& farm, McrpResult& out,
-    ParallelExecutor* exec = nullptr, bool (*poll)(void*) = nullptr, void* poll_ctx = nullptr);
 
 /// Just the potentials relaxation at a given λ (the pass solve_… performs
 /// when compute_potentials is set). Precondition: no circuit of `g` has

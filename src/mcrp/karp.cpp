@@ -3,13 +3,13 @@
 #include <algorithm>
 
 #include "graph/scc.hpp"
-#include "mcrp/cycle_ratio.hpp"
-#include "util/checked.hpp"
 #include "util/error.hpp"
 
 namespace kp {
 
 namespace {
+
+constexpr std::size_t kMaxKarpNodes = 20000;  // memory guard: O(n^2) tables
 
 struct LocalArc {
   std::int32_t id;
@@ -20,8 +20,7 @@ struct LocalArc {
 
 }  // namespace
 
-KarpResult karp_max_cycle_mean(const Digraph& g, const std::vector<i64>& weights,
-                               std::size_t max_scc_nodes) {
+KarpResult karp_max_cycle_mean(const Digraph& g, const std::vector<i64>& weights) {
   if (static_cast<std::int32_t>(weights.size()) != g.arc_count()) {
     throw ModelError("karp: need one weight per arc");
   }
@@ -50,38 +49,8 @@ KarpResult karp_max_cycle_mean(const Digraph& g, const std::vector<i64>& weights
     }
     if (arcs.empty()) continue;
     const std::size_t n = nodes.size();
-    if (n > max_scc_nodes) {
-      // Oversized SCC: the DP tables would not fit, so solve this component
-      // exactly with the cycle-ratio solver at H = 1 per arc (ratio == mean)
-      // instead of failing the whole call. That solver clamps λ at 0 (its
-      // costs are durations), so shift the weights non-negative first; every
-      // cycle mean shifts by exactly the same constant (H = 1), so the
-      // result shifts back exactly.
-      i64 min_w = 0;
-      for (const LocalArc& a : arcs) min_w = std::min(min_w, a.w);
-      const i64 shift = -min_w;  // >= 0
-      BivaluedGraph sub(static_cast<std::int32_t>(n));
-      for (const LocalArc& a : arcs) {
-        sub.add_arc(a.src, a.dst, checked_add(a.w, shift), Rational(1));
-      }
-      McrpOptions options;
-      options.compute_potentials = false;
-      const McrpResult solved = solve_max_cycle_ratio(sub, options);
-      // A strongly connected component with >= 1 internal arc always has a
-      // circuit, and H > 0 everywhere rules out infeasibility.
-      if (solved.status != McrpStatus::Optimal) {
-        throw SolverError("karp: exact fallback failed on a cyclic SCC (invariant breach)");
-      }
-      const Rational mean = solved.ratio - Rational(i128{shift}, i128{1});
-      if (!result.has_cycle || mean > result.max_cycle_mean) {
-        result.has_cycle = true;
-        result.max_cycle_mean = mean;
-        result.cycle_arcs.clear();
-        for (const std::int32_t j : solved.critical_cycle) {
-          result.cycle_arcs.push_back(arcs[static_cast<std::size_t>(j)].id);
-        }
-      }
-      continue;
+    if (n > kMaxKarpNodes) {
+      throw SolverError("karp: SCC too large for the O(n^2) tables");
     }
 
     // D[k][v]: maximum weight of a walk with exactly k arcs ending at v

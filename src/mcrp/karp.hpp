@@ -22,14 +22,8 @@ struct KarpResult {
 };
 
 /// Maximum cycle mean of `g` with integer arc weights `w` (one per arc id).
-///
-/// SCCs larger than `max_scc_nodes` would need O(n²) DP tables (a 20k-node
-/// component already wants ~6 GB); instead of failing the whole solve they
-/// are routed through the exact cycle-ratio solver (H = 1 per arc makes
-/// ratio == mean) — same exact value, same critical-cycle contract, just a
-/// different engine for that component. The threshold is a parameter so
-/// tests can pin the fallback without building a 20k-node graph.
-[[nodiscard]] KarpResult karp_max_cycle_mean(const Digraph& g, const std::vector<i64>& weights,
-                                             std::size_t max_scc_nodes = 20000);
+/// Throws SolverError for an SCC above 20,000 nodes, before its O(n²) DP
+/// tables are allocated.
+[[nodiscard]] KarpResult karp_max_cycle_mean(const Digraph& g, const std::vector<i64>& weights);
 
 }  // namespace kp

@@ -246,63 +246,17 @@ TEST(Karp, WeightArityChecked) {
   EXPECT_THROW((void)karp_max_cycle_mean(g, {}), ModelError);
 }
 
-// Pins the oversized-SCC fallback: above the node threshold the component
-// is routed through the exact cycle-ratio solver instead of throwing (the
-// old behavior) and the value — including with negative weights, which the
-// fallback must shift around the ratio solver's λ >= 0 clamp — matches the
-// DP path bit for bit.
-TEST(Karp, OversizedSccFallsBackToExactSolver) {
-  Rng rng(321);
-  for (int round = 0; round < 20; ++round) {
-    const auto n = static_cast<std::int32_t>(rng.uniform(4, 20));
-    Digraph g(n);
-    std::vector<i64> w;
-    // A big cycle through everything plus chords, so one SCC spans all of
-    // g; mixed-sign weights exercise the shift.
-    for (std::int32_t t = 0; t < n; ++t) {
-      g.add_arc(t, (t + 1) % n);
-      w.push_back(rng.uniform(-20, 20));
-    }
-    const i64 chords = rng.uniform(0, 2 * n);
-    for (i64 i = 0; i < chords; ++i) {
-      g.add_arc(static_cast<std::int32_t>(rng.uniform(0, n - 1)),
-                static_cast<std::int32_t>(rng.uniform(0, n - 1)));
-      w.push_back(rng.uniform(-20, 20));
-    }
-    const KarpResult dp = karp_max_cycle_mean(g, w);
-    // Threshold 1 forces every non-trivial SCC through the fallback.
-    const KarpResult fb = karp_max_cycle_mean(g, w, 1);
-    ASSERT_EQ(dp.has_cycle, fb.has_cycle);
-    ASSERT_TRUE(fb.has_cycle);
-    EXPECT_EQ(fb.max_cycle_mean, dp.max_cycle_mean) << "round " << round;
-    // The fallback's circuit realizes the reported mean exactly.
-    i64 wc = 0;
-    for (const auto a : fb.cycle_arcs) wc += w[static_cast<std::size_t>(a)];
-    EXPECT_EQ(Rational(wc, static_cast<i128>(fb.cycle_arcs.size())), fb.max_cycle_mean);
-  }
-}
-
-TEST(Karp, FallbackCoversMultiSccMix) {
-  // Two SCCs: a 3-cycle (mean 3) and a 2-cycle (mean 11/2); with the
-  // threshold between their sizes only the larger one takes the fallback,
-  // and the merged maximum is still exact.
-  Digraph g(5);
+// Karp's DP tables are O(n²) per SCC: one component above 20,000 nodes is
+// refused with SolverError before any table is allocated.
+TEST(Karp, OversizedSccThrows) {
+  const std::int32_t n = 20001;
+  Digraph g(n);
   std::vector<i64> w;
-  g.add_arc(0, 1);
-  w.push_back(2);
-  g.add_arc(1, 2);
-  w.push_back(4);
-  g.add_arc(2, 0);
-  w.push_back(3);
-  g.add_arc(3, 4);
-  w.push_back(9);
-  g.add_arc(4, 3);
-  w.push_back(2);
-  g.add_arc(2, 3);  // bridge, no new cycle
-  w.push_back(100);
-  const KarpResult r = karp_max_cycle_mean(g, w, 2);
-  ASSERT_TRUE(r.has_cycle);
-  EXPECT_EQ(r.max_cycle_mean, Rational::of(11, 2));
+  for (std::int32_t t = 0; t < n; ++t) {
+    g.add_arc(t, (t + 1) % n);
+    w.push_back(1);
+  }
+  EXPECT_THROW((void)karp_max_cycle_mean(g, w), SolverError);
 }
 
 // Cross-check sweep: on unit-time graphs, cycle ratio == cycle mean, so

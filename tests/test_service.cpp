@@ -11,6 +11,10 @@
 //     is deterministic) stops K-Iter with Outcome::Budget and does not
 //     disturb the other requests of the batch;
 //   * a zero deadline returns Budget without running a full round;
+//   * 20,000 one-request batches on a 3-worker pool all complete: the
+//     worker finishing a job is done with the batch's completion
+//     rendezvous before the dispatcher can return and free it (run under
+//     -fsanitize=thread to see the use-after-scope this guards);
 //   * the ConstraintPoll aborts constraint generation mid-round;
 //   * method_from_name is the inverse of method_name.
 #include <gtest/gtest.h>
@@ -314,6 +318,29 @@ TEST(KIter, PollHookCancelsBetweenRoundsAndSetsCancelled) {
   const KIterResult r = kiter_throughput(g, compute_repetition_vector(g), options);
   EXPECT_EQ(r.status, ThroughputStatus::ResourceLimit);
   EXPECT_TRUE(r.cancelled);
+}
+
+// ---- batch completion rendezvous ---------------------------------------------
+
+TEST(ThroughputService, SingleRequestBatchStressNeverOutlivesItsRendezvous) {
+  // Cache off, so every call queues its one job and waits for a worker to
+  // count it down; a two-task ring solves in microseconds, so the worker's
+  // last touch of the stack-allocated rendezvous races the dispatcher
+  // returning as tightly as possible.
+  ThroughputService service(ServiceOptions{.threads = 3, .result_cache_capacity = 0});
+  CsdfGraph ring;
+  const TaskId a = ring.add_task("a", 1);
+  const TaskId b = ring.add_task("b", 1);
+  ring.add_buffer("", a, b, 1, 1, 0);
+  ring.add_buffer("", b, a, 1, 1, 1);
+  AnalysisRequest req{.graph = ring};
+  const Analysis reference = service.analyze(req.graph, Method::KIter);
+  for (int i = 0; i < 20000; ++i) {
+    const std::vector<Analysis> r = service.analyze_batch({&req, 1});
+    ASSERT_EQ(r.size(), 1u);
+    ASSERT_EQ(r[0].period, reference.period) << "call " << i;
+  }
+  EXPECT_EQ(service.stats().jobs_executed, 20001u);
 }
 
 // ---- in-generation abort (the one-stride-batch overshoot bound) -------------

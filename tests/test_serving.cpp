@@ -11,12 +11,12 @@
 //   * wall-clock-racing requests (deadline, cancel token, poll hook, time
 //     budget) are never cached, in either direction;
 //   * analyze_batch stays deterministic across thread counts, shard
-//     layouts and cache on/off, with duplicates mixed in so the late-hit
-//     path is exercised;
+//     layouts and cache on/off, with duplicates mixed in: each distinct
+//     request is solved exactly once per batch (in-batch dedupe);
 //   * a one-worker service with multiple shards must steal everything the
 //     round-robin dealt to foreign shards — a deterministic steal count;
-//   * batch-level and intra-graph parallelism share the sharded pool
-//     without deadlock, including the 1-worker many-shard corner;
+//   * a submit() twin queued back to back behind its first copy is served
+//     from the cache (dispatch or late hit), never solved twice;
 //   * stats() is coherent after a batch: executed counts, histogram
 //     totals, monotone percentiles, per-shard depth high-water marks.
 #include <gtest/gtest.h>
@@ -229,9 +229,9 @@ TEST(ServingCache, WallClockAndCancellableRequestsAreNeverCached) {
 // ---- determinism across threads, shards and cache setting -------------------
 
 TEST(ServingDispatch, BatchDeterministicAcrossThreadsShardsAndCache) {
-  // 20 unique graphs, each requested three times: the duplicate copies
-  // exercise the late-hit path (the twins are already queued when the first
-  // copy completes).
+  // 20 unique graphs, each requested three times: with the cache on, the
+  // in-batch dedupe solves each once and replays it for the two twins, on
+  // any shard layout.
   const std::vector<CsdfGraph> graphs = make_unique_graphs(20, 20260807);
   std::vector<AnalysisRequest> requests;
   for (int rep = 0; rep < 3; ++rep) {
@@ -263,8 +263,8 @@ TEST(ServingDispatch, BatchDeterministicAcrossThreadsShardsAndCache) {
     }
     if (c.cache > 0) {
       // 40 duplicate requests must be served by the cache, not re-solved.
-      EXPECT_LE(service.stats().jobs_executed, graphs.size() + 1);
-      EXPECT_GE(service.stats().cache_hits, 2 * graphs.size());
+      EXPECT_EQ(service.stats().jobs_executed, graphs.size());
+      EXPECT_EQ(service.stats().cache_hits, 2 * graphs.size());
     }
   }
 }
@@ -314,61 +314,25 @@ TEST(ServingDispatch, SubmitRoutesByContentAndServesTicketsFromCache) {
   EXPECT_GE(service.stats().cache_hits, 1u);
 }
 
-// ---- intra-graph parallelism on the sharded pool ----------------------------
-
-std::vector<AnalysisRequest> make_multi_scc_requests(int count) {
-  Rng rng(20260805);
-  MultiSccCsdfOptions gen;
-  std::vector<AnalysisRequest> requests;
-  requests.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    AnalysisRequest req;
-    req.graph = random_multi_scc_csdf(rng, gen);
-    requests.push_back(std::move(req));
-  }
-  return requests;
-}
-
-TEST(ServingDispatch, BatchPlusIntraGraphShareShardedPool) {
-  const std::vector<AnalysisRequest> requests = make_multi_scc_requests(16);
-
-  // Inline decomposed reference: the partitioned determinism contract says
-  // any (threads, intra, shards) combination must reproduce it.
-  ThroughputService reference_service(
-      ServiceOptions{.threads = 0, .intra_graph_threads = -1, .result_cache_capacity = 0});
-  const std::vector<Analysis> reference = reference_service.analyze_batch(requests);
-
-  for (const int shards : {0, 3}) {
-    ThroughputService service(ServiceOptions{.threads = 3,
-                                             .intra_graph_threads = -1,
-                                             .queue_shards = shards,
-                                             .result_cache_capacity = 0});
-    const std::vector<Analysis> batch = service.analyze_batch(requests);
-    ASSERT_EQ(batch.size(), requests.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      expect_identical_analysis(batch[i], reference[i], static_cast<int>(i));
-    }
-  }
-}
-
-TEST(ServingDispatch, OneWorkerManyShardsWithIntraParallelismNeverDeadlocks) {
-  // The nastiest corner: one worker, four shards, intra-graph markers
-  // published to shards nobody owns. The owner-claims-all invariant must
-  // carry the batch to completion regardless.
-  const std::vector<AnalysisRequest> requests = make_multi_scc_requests(8);
-  ThroughputService reference_service(
-      ServiceOptions{.threads = 0, .intra_graph_threads = -1, .result_cache_capacity = 0});
-  const std::vector<Analysis> reference = reference_service.analyze_batch(requests);
-
-  ThroughputService service(ServiceOptions{.threads = 1,
-                                           .intra_graph_threads = -1,
-                                           .queue_shards = 4,
-                                           .result_cache_capacity = 0});
-  const std::vector<Analysis> batch = service.analyze_batch(requests);
-  ASSERT_EQ(batch.size(), requests.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_identical_analysis(batch[i], reference[i], static_cast<int>(i));
-  }
+TEST(ServingDispatch, BackToBackSubmitTwinsSolveOnce) {
+  // The second copy is submitted before the first is collected: it is
+  // either a dispatch hit (the first already finished) or a late hit on
+  // the worker (it queued behind the first). Both paths skip the solve.
+  ThroughputService service(ServiceOptions{.threads = 1});
+  const CsdfGraph g = gcd_ring(7);
+  AnalysisRequest first;
+  first.graph = g;
+  AnalysisRequest twin;
+  twin.graph = g;
+  const i64 t1 = service.submit(std::move(first));
+  const i64 t2 = service.submit(std::move(twin));
+  const Analysis a = service.wait(t1);
+  const Analysis b = service.wait(t2);
+  expect_identical_analysis(b, a, 0);
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.jobs_executed, 1u);
+  EXPECT_EQ(s.cache_hits, 1u);
+  EXPECT_EQ(s.cache_misses, 1u);
 }
 
 // ---- stats surface ----------------------------------------------------------
