@@ -115,16 +115,13 @@ bool RegionCertifier::valid_at(i64 s, McrpScratch& mcrp) {
   const i128 ds = i128{s} - i128{s_anchor_};
   const i128 num = checked_add(i128{cert_->cycle_cost}, checked_mul(ds, i128{num_slope_}));
   if (num <= 0) return false;
-  const Rational lambda = Rational(num, 1) / cert_->cycle_time;
   const BivaluedGraph& bg = cg_->graph;
   const std::span<const i64> costs = bg.costs();
-  const std::span<const Rational> times = bg.times();
-  weights_.resize(costs.size());
+  costs_.resize(costs.size());
   for (std::size_t a = 0; a < costs.size(); ++a) {
-    const i128 cost = checked_add(i128{costs[a]}, checked_mul(ds, i128{arc_slope_[a]}));
-    weights_[a] = Rational(cost, 1) - lambda * times[a];
+    costs_[a] = narrow64(checked_add(i128{costs[a]}, checked_mul(ds, i128{arc_slope_[a]})));
   }
-  return !has_positive_cycle(bg, weights_, mcrp);
+  return !has_positive_cycle(bg, costs_, Rational(num, 1) / cert_->cycle_time, mcrp);
 }
 
 i64 RegionCertifier::region_end(i64 s_last, McrpScratch& mcrp) {

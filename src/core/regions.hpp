@@ -15,7 +15,8 @@
 // is AFFINE in s (L_c and the cert's numerator are affine, H_c constant),
 // so the cert cycle stays maximal across a whole segment of samples iff no
 // circuit has positive weight at the segment's two endpoints — one exact
-// Bellman–Ford positive-cycle check per endpoint certifies every sample
+// positive-cycle check per endpoint (has_positive_cycle: the MCRP solver's
+// Bellman–Ford kernel on scaled-integer labels) certifies every sample
 // between them. RegionCertifier exploits this: a region's right edge is
 // found in O(log range) checks, and every in-region sample's period is an
 // O(|coeffs|) rational evaluation — no K-iteration, no MCRP solve.
@@ -100,7 +101,7 @@ class RegionCertifier {
   /// True iff the cert is the exact max cycle ratio at sample s: the
   /// predicted numerator stays positive (Ω → 0 is the Unbounded boundary)
   /// and no circuit has positive weight under w(e) = L(s) − Ω(s)·H — one
-  /// exact Bellman–Ford check on the anchor's cyclic core.
+  /// has_positive_cycle call on the anchor's cyclic core.
   [[nodiscard]] bool valid_at(i64 s, McrpScratch& mcrp);
 
   /// Largest s in [s_anchor, s_last] with valid_at(s). Probes s_last first
@@ -115,7 +116,7 @@ class RegionCertifier {
   i64 s_anchor_ = 0;
   i64 num_slope_ = 0;              // d(cert numerator)/ds
   std::vector<i64> arc_slope_;     // per arc: dL/ds
-  std::vector<Rational> weights_;  // per arc: L(s) − Ω(s)·H scratch
+  std::vector<i64> costs_;         // per arc: L(s) scratch
 };
 
 }  // namespace kp

@@ -1,7 +1,6 @@
 #include "mcrp/cycle_ratio.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "graph/csr.hpp"
 #include "graph/scc.hpp"
@@ -43,55 +42,51 @@ class RingQueue {
   std::size_t tail_ = 0;
 };
 
-/// Finds any cycle in the parent-pointer graph (node -> src of its parent
-/// arc). Writes the cycle's arc indices (into scratch.cyclic) in forward
-/// traversal order to scratch.cycle_local; returns false if acyclic.
-bool parent_graph_cycle(std::int32_t n, McrpScratch& s) {
-  s.color.assign(static_cast<std::size_t>(n), 0);  // 0 new, 1 active, 2 done
-  s.cycle_local.clear();
-  for (std::int32_t start = 0; start < n; ++start) {
-    if (s.color[static_cast<std::size_t>(start)] != 0 ||
-        s.parent[static_cast<std::size_t>(start)] < 0) {
-      continue;
-    }
-    s.path.clear();
-    std::int32_t v = start;
-    while (v >= 0 && s.color[static_cast<std::size_t>(v)] == 0) {
-      s.color[static_cast<std::size_t>(v)] = 1;
-      s.path.push_back(v);
-      const std::int32_t pa = s.parent[static_cast<std::size_t>(v)];
-      v = pa < 0 ? -1 : s.cyclic[static_cast<std::size_t>(pa)].src;
-    }
-    if (v >= 0 && s.color[static_cast<std::size_t>(v)] == 1) {
-      // Cycle: the suffix of `path` starting at v. The walk visits cycle
-      // nodes in reverse traversal order, so collecting each node's parent
-      // arc while iterating the path backwards (stopping at v, then adding
-      // v's own parent arc) yields the forward arc order.
-      for (auto rit = s.path.rbegin(); rit != s.path.rend() && *rit != v; ++rit) {
-        s.cycle_local.push_back(s.parent[static_cast<std::size_t>(*rit)]);
-      }
-      s.cycle_local.push_back(s.parent[static_cast<std::size_t>(v)]);
-      for (const std::int32_t u : s.path) s.color[static_cast<std::size_t>(u)] = 2;
-      return true;
-    }
-    for (const std::int32_t u : s.path) s.color[static_cast<std::size_t>(u)] = 2;
+/// Writes the circuit that arc i = (u, v) closes when u lies in v's
+/// relaxation subtree — the tree path v..u, then i — to scratch.bf_cycle as
+/// original arc ids in traversal order.
+bool close_cycle(std::int32_t u, std::int32_t v, std::int32_t i, McrpScratch& s) {
+  s.bf_cycle.push_back(s.cyclic[static_cast<std::size_t>(i)].id);
+  for (std::int32_t x = u; x != v;) {
+    const ArcRef& a = s.cyclic[static_cast<std::size_t>(s.parent[static_cast<std::size_t>(x)])];
+    s.bf_cycle.push_back(a.id);
+    x = a.src;
   }
-  return false;
+  std::reverse(s.bf_cycle.begin(), s.bf_cycle.end());
+  return true;
 }
 
-/// Queue-based (SPFA-style) longest-path relaxation with all-zero sources
-/// over the cyclic core (scratch.cyclic + its CSR). Detects whether a
-/// positive-weight cycle exists under scratch.weights and extracts one into
-/// scratch.bf_cycle (original arc ids). Near-linear on the no-positive-cycle
-/// case that dominates the improvement loop, O(n·m) worst case like
-/// round-based Bellman–Ford.
-bool bf_positive_cycle(std::int32_t n, McrpScratch& s) {
-  s.dist.assign(static_cast<std::size_t>(n), Rational{});
-  s.parent.assign(static_cast<std::size_t>(n), -1);
-  // Relaxation-path length per node: when it reaches n, the parent chain
-  // holds n+1 nodes, hence a repeated node, hence a (positive) cycle.
-  s.len.assign(static_cast<std::size_t>(n), 0);
-  s.queued.assign(static_cast<std::size_t>(n), 0);
+/// The positive-cycle kernel: queue-based (SPFA-style) longest-path
+/// relaxation with all-zero sources over the cyclic core (scratch.cyclic +
+/// its CSR) under per-cyclic-arc weights `w`, on labels `dist`. Returns
+/// whether a positive-weight circuit exists; if so, one is left in
+/// scratch.bf_cycle.
+///
+/// Tarjan's subtree disassembly: the parent pointers form a forest kept as
+/// one preorder list, circular through the virtual root n (depth -1) whose
+/// zero-weight arcs give the all-zero start. Before v improves via arc
+/// (u, v), v's subtree — the preorder run after v deeper than v — is
+/// walked: meeting u there means the tree path v..u plus (u, v) is a
+/// positive circuit. Otherwise the run leaves the forest and v is inserted
+/// as u's first child. A popped node out of the forest is skipped: an
+/// ancestor improved since it was queued, so its label will improve again.
+/// Every label therefore stays the weight of a simple path (at most n-1
+/// arcs), which is the headroom bound integer labels rely on.
+template <typename Label>
+bool positive_cycle(std::int32_t n, McrpScratch& s, const std::vector<Label>& w,
+                    std::vector<Label>& dist) {
+  const auto un = static_cast<std::size_t>(n);
+  dist.assign(un, Label{});
+  s.parent.assign(un, -1);
+  s.depth.assign(un + 1, 0);
+  s.depth[un] = -1;
+  s.next.resize(un + 1);
+  s.prev.resize(un + 1);
+  for (std::size_t v = 0; v <= un; ++v) {
+    s.next[v] = static_cast<std::int32_t>(v == un ? 0 : v + 1);
+    s.prev[v] = static_cast<std::int32_t>(v == 0 ? un : v - 1);
+  }
+  s.queued.assign(un, 0);
   s.bf_cycle.clear();
   RingQueue queue(s.ring, n);
   for (std::int32_t v = 0; v < n; ++v) {
@@ -105,85 +100,79 @@ bool bf_positive_cycle(std::int32_t n, McrpScratch& s) {
   while (!queue.empty()) {
     const std::int32_t u = queue.pop();
     s.queued[static_cast<std::size_t>(u)] = 0;
+    if (s.depth[static_cast<std::size_t>(u)] < 0) continue;
     const auto lo = static_cast<std::size_t>(s.out_offsets[static_cast<std::size_t>(u)]);
     const auto hi = static_cast<std::size_t>(s.out_offsets[static_cast<std::size_t>(u) + 1]);
     for (std::size_t k = lo; k < hi; ++k) {
       const std::int32_t i = s.out_ids[k];
-      const ArcRef& a = s.cyclic[static_cast<std::size_t>(i)];
-      Rational cand = s.dist[static_cast<std::size_t>(a.src)] + s.weights[static_cast<std::size_t>(i)];
-      if (!(cand > s.dist[static_cast<std::size_t>(a.dst)])) continue;
-      s.dist[static_cast<std::size_t>(a.dst)] = std::move(cand);
-      s.parent[static_cast<std::size_t>(a.dst)] = i;
-      s.len[static_cast<std::size_t>(a.dst)] = s.len[static_cast<std::size_t>(a.src)] + 1;
-      if (s.len[static_cast<std::size_t>(a.dst)] >= n) {
-        if (!parent_graph_cycle(n, s)) {
-          throw SolverError("positive-cycle detection: parent graph acyclic (invariant breach)");
-        }
-        s.bf_cycle.reserve(s.cycle_local.size());
-        for (const std::int32_t local : s.cycle_local) {
-          s.bf_cycle.push_back(s.cyclic[static_cast<std::size_t>(local)].id);
-        }
-        return true;
+      const std::int32_t v = s.cyclic[static_cast<std::size_t>(i)].dst;
+      Label cand = dist[static_cast<std::size_t>(u)] + w[static_cast<std::size_t>(i)];
+      if (!(cand > dist[static_cast<std::size_t>(v)])) continue;
+      const std::int32_t dv = s.depth[static_cast<std::size_t>(v)];
+      if (dv >= 0) {
+        std::int32_t x = v;
+        do {
+          if (x == u) return close_cycle(u, v, i, s);
+          s.depth[static_cast<std::size_t>(x)] = -1;
+          x = s.next[static_cast<std::size_t>(x)];
+        } while (s.depth[static_cast<std::size_t>(x)] > dv);
+        const std::int32_t before = s.prev[static_cast<std::size_t>(v)];
+        s.next[static_cast<std::size_t>(before)] = x;
+        s.prev[static_cast<std::size_t>(x)] = before;
       }
-      if (!s.queued[static_cast<std::size_t>(a.dst)]) {
-        s.queued[static_cast<std::size_t>(a.dst)] = 1;
-        queue.push(a.dst);
+      dist[static_cast<std::size_t>(v)] = std::move(cand);
+      s.parent[static_cast<std::size_t>(v)] = i;
+      s.depth[static_cast<std::size_t>(v)] = s.depth[static_cast<std::size_t>(u)] + 1;
+      const std::int32_t after = s.next[static_cast<std::size_t>(u)];
+      s.prev[static_cast<std::size_t>(v)] = u;
+      s.next[static_cast<std::size_t>(v)] = after;
+      s.prev[static_cast<std::size_t>(after)] = v;
+      s.next[static_cast<std::size_t>(u)] = v;
+      if (!s.queued[static_cast<std::size_t>(v)]) {
+        s.queued[static_cast<std::size_t>(v)] = 1;
+        queue.push(v);
       }
     }
   }
   return false;
 }
 
-/// bf_positive_cycle with pre-scaled integer weights (scratch.int_weights):
-/// identical worklist relaxation, but the labels are plain i128 — no
-/// rational normalization per step. The caller guarantees label sums
-/// cannot overflow ((n+1)·max|weight| fits i128 with headroom).
-bool bf_positive_cycle_int(std::int32_t n, McrpScratch& s) {
-  s.int_dist.assign(static_cast<std::size_t>(n), 0);
-  s.parent.assign(static_cast<std::size_t>(n), -1);
-  s.len.assign(static_cast<std::size_t>(n), 0);
-  s.queued.assign(static_cast<std::size_t>(n), 0);
-  s.bf_cycle.clear();
-  RingQueue queue(s.ring, n);
-  for (std::int32_t v = 0; v < n; ++v) {
-    if (s.out_offsets[static_cast<std::size_t>(v)] !=
-        s.out_offsets[static_cast<std::size_t>(v) + 1]) {
-      queue.push(v);
-      s.queued[static_cast<std::size_t>(v)] = 1;
+/// True iff some circuit of the cyclic core is positive under
+/// w(e) = L(e) - λ·H(e), where L(e) = costs[e], or L ≡ 0 when `costs` is
+/// empty; one such circuit is left in scratch.bf_cycle. For λ = p/q the
+/// kernel runs on W(e) = L(e)·q·M - p·T(e) = (q·M)·w(e) in i128, and on
+/// Rational weights only when the layout has no scale M or some W exceeds
+/// the headroom that keeps n+2 of them summable.
+bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs,
+                       const Rational& lambda, McrpScratch& s) {
+  const std::int32_t n = bg.node_count();
+  const std::size_t m = s.cyclic.size();
+  if (s.time_scale != 0) {
+    try {
+      constexpr i128 k_i128_max = static_cast<i128>((~static_cast<unsigned __int128>(0)) >> 1);
+      const i128 limit = k_i128_max / (i128{n} + 2);
+      const i128 qm = checked_mul(lambda.den(), s.time_scale);
+      s.int_weights.resize(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        const i128 l = costs.empty()
+                           ? 0
+                           : checked_mul(i128{costs[static_cast<std::size_t>(s.cyclic[i].id)]}, qm);
+        const i128 w = checked_sub(l, checked_mul(lambda.num(), s.scaled_time[i]));
+        if (w > limit || w < -limit) throw_overflow("positive-cycle weight headroom");
+        s.int_weights[i] = w;
+      }
+      return positive_cycle(n, s, s.int_weights, s.int_dist);
+    } catch (const OverflowError&) {
+      // Scaled weights too large: fall through to Rational labels.
     }
   }
-
-  while (!queue.empty()) {
-    const std::int32_t u = queue.pop();
-    s.queued[static_cast<std::size_t>(u)] = 0;
-    const auto lo = static_cast<std::size_t>(s.out_offsets[static_cast<std::size_t>(u)]);
-    const auto hi = static_cast<std::size_t>(s.out_offsets[static_cast<std::size_t>(u) + 1]);
-    for (std::size_t k = lo; k < hi; ++k) {
-      const std::int32_t i = s.out_ids[k];
-      const ArcRef& a = s.cyclic[static_cast<std::size_t>(i)];
-      const i128 cand =
-          s.int_dist[static_cast<std::size_t>(a.src)] + s.int_weights[static_cast<std::size_t>(i)];
-      if (!(cand > s.int_dist[static_cast<std::size_t>(a.dst)])) continue;
-      s.int_dist[static_cast<std::size_t>(a.dst)] = cand;
-      s.parent[static_cast<std::size_t>(a.dst)] = i;
-      s.len[static_cast<std::size_t>(a.dst)] = s.len[static_cast<std::size_t>(a.src)] + 1;
-      if (s.len[static_cast<std::size_t>(a.dst)] >= n) {
-        if (!parent_graph_cycle(n, s)) {
-          throw SolverError("positive-cycle detection: parent graph acyclic (invariant breach)");
-        }
-        s.bf_cycle.reserve(s.cycle_local.size());
-        for (const std::int32_t local : s.cycle_local) {
-          s.bf_cycle.push_back(s.cyclic[static_cast<std::size_t>(local)].id);
-        }
-        return true;
-      }
-      if (!s.queued[static_cast<std::size_t>(a.dst)]) {
-        s.queued[static_cast<std::size_t>(a.dst)] = 1;
-        queue.push(a.dst);
-      }
-    }
+  const std::span<const Rational> times = bg.times();
+  s.weights.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto id = static_cast<std::size_t>(s.cyclic[i].id);
+    s.weights[i] = (costs.empty() ? Rational{} : Rational{costs[id]}) - lambda * times[id];
   }
-  return false;
+  return positive_cycle(n, s, s.weights, s.dist);
 }
 
 /// True if the circuit makes the constraint system unsatisfiable for every
@@ -192,9 +181,10 @@ bool is_infeasible_circuit(i64 cost, const Rational& time) {
   return time.sign() < 0 || (time.is_zero() && cost > 0);
 }
 
-/// (Re)derives the scratch's SCC-restricted cyclic core and its CSR
-/// adjacency for `bg` (whose Digraph must be finalized), recording the warm
-/// key so a later stamp-matching solve or positive-cycle check reuses them.
+/// (Re)derives the scratch's SCC-restricted cyclic core, its CSR adjacency
+/// and its scaled H payloads for `bg` (whose Digraph must be finalized),
+/// recording the warm key so a later stamp-matching solve or positive-cycle
+/// check reuses them.
 void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch) {
   const Digraph& g = bg.graph();
   const std::int32_t n = g.node_count();
@@ -216,13 +206,32 @@ void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch) {
     build_csr_index(n, scratch.cyclic, [](const ArcRef& a) { return a.src; },
                     scratch.out_offsets, scratch.out_ids, scratch.cursor);
   }
+  // Scale H once per layout: M = lcm of the cyclic H denominators and
+  // T(e) = H(e)·M, or no integer path (M = 0) when either overflows.
+  const std::span<const Rational> times = bg.times();
+  scratch.scaled_time.resize(scratch.cyclic.size());
+  try {
+    i128 scale = 1;
+    for (const ArcRef& a : scratch.cyclic) {
+      const i128 den = times[static_cast<std::size_t>(a.id)].den();
+      if (scale % den != 0) scale = lcm128(scale, den);
+    }
+    for (std::size_t i = 0; i < scratch.cyclic.size(); ++i) {
+      const Rational& h = times[static_cast<std::size_t>(scratch.cyclic[i].id)];
+      scratch.scaled_time[i] = checked_mul(h.num(), scale / h.den());
+    }
+    scratch.time_scale = scale;
+  } catch (const OverflowError&) {
+    scratch.time_scale = 0;
+  }
   scratch.warm_stamp = bg.layout_stamp();
   scratch.warm_nodes = n;
   scratch.warm_arcs = g.arc_count();
 }
 
-/// True when the scratch's cyclic core + CSR were derived from a graph with
-/// this exact layout (node/arc topology and H payloads; L costs free).
+/// True when the scratch's cyclic core, CSR and scaled H were derived from a
+/// graph with this exact layout (node/arc topology and H payloads; L costs
+/// free).
 bool core_reusable(const BivaluedGraph& bg, const McrpScratch& scratch) {
   return scratch.warm_stamp != 0 && scratch.warm_stamp == bg.layout_stamp() &&
          scratch.warm_nodes == bg.graph().node_count() &&
@@ -248,17 +257,15 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   out.exact_iterations = 0;
   out.howard_iterations = 0;
 
-  const Digraph& g = bg.graph();
-  const std::int32_t n = g.node_count();
-  g.finalize();
+  bg.graph().finalize();
   const std::span<const i64> costs = bg.costs();
-  const std::span<const Rational> times = bg.times();
 
-  // The cyclic core and its CSR depend only on topology, which the layout
-  // stamp certifies unchanged (only L costs may have been rewritten via
-  // set_cost since the scratch last saw this graph) — so a warm solve
-  // skips the SCC pass and both derivations. Recorded unconditionally
-  // after a cold derivation so a later warm call can reuse it.
+  // The cyclic core, its CSR and its scaled H depend only on topology and
+  // H, which the layout stamp certifies unchanged (only L costs may have
+  // been rewritten via set_cost since the scratch last saw this graph) —
+  // so a warm solve skips the SCC pass and every derivation. Recorded
+  // unconditionally after a cold derivation so a later warm call can reuse
+  // it.
   const bool reuse_core = options.howard_warm_start && core_reusable(bg, scratch);
   if (!reuse_core) derive_cyclic_core(bg, scratch);
   auto& cyclic = scratch.cyclic;
@@ -310,15 +317,8 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
     }
 
     // ---- exact phase: the result is determined here ------------------------
-    auto& we = scratch.weights;
-    we.resize(cyclic.size());
     for (int iter = 0; iter < options.max_iterations; ++iter) {
-      for (std::size_t i = 0; i < cyclic.size(); ++i) {
-        const std::int32_t id = cyclic[i].id;
-        we[i] = Rational(i128{costs[static_cast<std::size_t>(id)]}, 1) -
-                lambda * times[static_cast<std::size_t>(id)];
-      }
-      if (!bf_positive_cycle(n, scratch)) break;
+      if (!positive_cycle_at(bg, costs, lambda, scratch)) break;
       i64 lc = 0;
       Rational hc;
       exact_cycle_ratio(scratch.bf_cycle, lc, hc);
@@ -344,24 +344,17 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
     // λ == 0 corner: all circuits have zero total cost. Circuits with
     // negative H are then invisible to the improvement loop (their weight is
     // exactly zero at λ = 0) but still make the system infeasible; probe for
-    // them with weights -H. Also try to surface a zero-ratio critical
-    // circuit (weights +H) so callers can run the optimality test.
+    // them with weights -H (L ≡ 0, λ = 1). Also try to surface a zero-ratio
+    // critical circuit (weights +H: λ = -1) so callers can run the
+    // optimality test.
     if (lambda.is_zero()) {
-      for (std::size_t i = 0; i < cyclic.size(); ++i) {
-        we[i] = -times[static_cast<std::size_t>(cyclic[i].id)];
-      }
-      if (bf_positive_cycle(n, scratch)) {
+      if (positive_cycle_at(bg, {}, Rational{1}, scratch)) {
         out.status = McrpStatus::Infeasible;
         out.critical_cycle.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
         return;
       }
-      if (critical.empty()) {
-        for (std::size_t i = 0; i < cyclic.size(); ++i) {
-          we[i] = times[static_cast<std::size_t>(cyclic[i].id)];
-        }
-        if (bf_positive_cycle(n, scratch)) {
-          critical.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
-        }
+      if (critical.empty() && positive_cycle_at(bg, {}, Rational{-1}, scratch)) {
+        critical.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
       }
     }
   }
@@ -379,49 +372,15 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   }
 }
 
-bool has_positive_cycle(const BivaluedGraph& bg, std::span<const Rational> weights,
-                        McrpScratch& scratch) {
+bool has_positive_cycle(const BivaluedGraph& bg, std::span<const i64> costs,
+                        const Rational& lambda, McrpScratch& scratch) {
   const Digraph& g = bg.graph();
   g.finalize();
-  if (weights.size() != static_cast<std::size_t>(g.arc_count())) {
-    throw SolverError("has_positive_cycle: one weight per arc required");
+  if (costs.size() != static_cast<std::size_t>(g.arc_count())) {
+    throw SolverError("has_positive_cycle: one cost per arc required");
   }
   if (!core_reusable(bg, scratch)) derive_cyclic_core(bg, scratch);
-  if (scratch.cyclic.empty()) return false;
-  const std::int32_t n = g.node_count();
-
-  // Integer fast path: scale every cyclic weight by the lcm of their
-  // denominators — a positive factor, so every cycle's weight keeps its
-  // sign and positive-cycle existence is unchanged — then relax plain i128
-  // labels. Bails to the rational Bellman–Ford when the common denominator
-  // or the scaled magnitudes leave no headroom for label sums
-  // (|label| <= (n+1)·max|weight| must stay clear of the i128 range).
-  try {
-    i128 common = 1;
-    for (const McrpScratch::ArcRef& a : scratch.cyclic) {
-      common = lcm128(common, weights[static_cast<std::size_t>(a.id)].den());
-    }
-    auto& iw = scratch.int_weights;
-    iw.resize(scratch.cyclic.size());
-    i128 max_abs = 0;
-    for (std::size_t i = 0; i < scratch.cyclic.size(); ++i) {
-      const Rational& w = weights[static_cast<std::size_t>(scratch.cyclic[i].id)];
-      iw[i] = checked_mul(w.num(), common / w.den());
-      max_abs = std::max(max_abs, abs128(iw[i]));
-    }
-    constexpr i128 k_i128_max = static_cast<i128>((~static_cast<unsigned __int128>(0)) >> 1);
-    if (max_abs > k_i128_max / (i128{n} + 2)) throw_overflow("has_positive_cycle scale");
-    return bf_positive_cycle_int(n, scratch);
-  } catch (const OverflowError&) {
-    // Magnitudes too large to scale: fall through to exact rationals.
-  }
-
-  auto& we = scratch.weights;
-  we.resize(scratch.cyclic.size());
-  for (std::size_t i = 0; i < scratch.cyclic.size(); ++i) {
-    we[i] = weights[static_cast<std::size_t>(scratch.cyclic[i].id)];
-  }
-  return bf_positive_cycle(n, scratch);
+  return !scratch.cyclic.empty() && positive_cycle_at(bg, costs, lambda, scratch);
 }
 
 void compute_mcrp_potentials(const BivaluedGraph& bg, const Rational& lambda,

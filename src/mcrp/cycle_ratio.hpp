@@ -2,12 +2,24 @@
 //
 // Algorithm: candidate-circuit improvement. Maintain a lower bound λ (the
 // exact ratio of the best circuit found so far, initially 0). At each step
-// search for a circuit with positive weight under w_λ(e) = L(e) - λ·H(e)
-// (Bellman–Ford positive-cycle detection). A found circuit either improves
-// λ to its exact ratio, or — when H(c) <= 0 — witnesses that no positive
-// period satisfies the constraint system (Infeasible). When no positive
-// circuit remains, λ is the exact optimum and the last improving circuit is
-// critical.
+// search for a circuit with positive weight under w_λ(e) = L(e) - λ·H(e).
+// A found circuit either improves λ to its exact ratio, or — when H(c) <= 0
+// — witnesses that no positive period satisfies the constraint system
+// (Infeasible). When no positive circuit remains, λ is the exact optimum and
+// the last improving circuit is critical.
+//
+// Positive-cycle kernel: one queue-based Bellman–Ford relaxation with
+// Tarjan's subtree disassembly (Cherkassky & Goldberg, "Negative-cycle
+// detection algorithms", Math. Programming 1999). The parent pointers form
+// a forest kept as one preorder list; before a node's label improves, its
+// subtree leaves the forest, and an improvement whose source lies in that
+// subtree closes a positive circuit, which is reported at once. Every label
+// is thus the weight of a simple path. Labels are scaled integers: with M
+// the lcm of the H denominators over the cyclic core (computed once per
+// layout stamp) and λ = p/q, an arc weighs W(e) = L(e)·q·M - p·H(e)·M,
+// exactly (q·M)·w_λ(e), so every comparison matches a relaxation on
+// rationals. When M or some W leaves no i128 headroom, the same kernel runs
+// on Rational labels instead.
 //
 // Termination: every improvement sets λ to the ratio of a distinct
 // elementary circuit and ratios strictly increase, so the loop is finite.
@@ -24,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mcrp/bivalued.hpp"
@@ -70,11 +83,12 @@ struct McrpOptions {
   /// the graph's layout stamp matches (BivaluedGraph::layout_stamp — same
   /// node/arc layout and H payloads, only L costs possibly rewritten via
   /// set_cost): the Howard pre-pass keeps its policy (see mcrp/howard.hpp)
-  /// and the exact phase keeps its SCC-restricted cyclic core and CSR
-  /// adjacency instead of re-deriving them. Values are unaffected — the
-  /// exact improvement loop still runs to quiescence — only iteration
-  /// counts (and possibly which co-critical circuit is reported) can
-  /// change. Off by default; the parametric-sweep service turns it on.
+  /// and the exact phase keeps its SCC-restricted cyclic core, CSR
+  /// adjacency and scaled H instead of re-deriving them. Values are
+  /// unaffected — the exact improvement loop still runs to quiescence —
+  /// only iteration counts (and possibly which co-critical circuit is
+  /// reported) can change. Off by default; the parametric-sweep service
+  /// turns it on.
   bool howard_warm_start = false;
   /// Fill McrpResult::potentials.
   bool compute_potentials = true;
@@ -98,32 +112,42 @@ struct McrpScratch {
   HowardResult howard_result;
 
   std::vector<ArcRef> cyclic;
-  std::vector<Rational> weights;
+  // Per cyclic arc: T(e) = H(e)·time_scale, where time_scale is the lcm M
+  // of the H denominators over the cyclic core (0 when M or some T(e)
+  // overflows i128: the layout then has no integer path). Both belong to
+  // the warm stamp below, since set_cost rewrites only L.
+  std::vector<i128> scaled_time;
+  i128 time_scale = 0;
 
   // CSR adjacency over the cyclic core (indices into `cyclic`).
   std::vector<std::int32_t> out_offsets;
   std::vector<std::int32_t> out_ids;
   std::vector<std::int32_t> cursor;
 
-  // Bellman–Ford relaxation state. int_weights/int_dist serve the
-  // common-denominator integer fast path of has_positive_cycle.
-  std::vector<Rational> dist;
+  // Positive-cycle kernel state. Weights and labels are per cyclic arc and
+  // per node: scaled i128 normally, Rational on the overflow fallback.
   std::vector<i128> int_weights;
   std::vector<i128> int_dist;
+  std::vector<Rational> weights;
+  std::vector<Rational> dist;
+  // Relaxation forest: parent arc (index into `cyclic`, -1 at a root) and
+  // the preorder list (next/prev, circular through the virtual root n) with
+  // each node's depth; -1 marks a node out of the forest.
   std::vector<std::int32_t> parent;
-  std::vector<std::int32_t> len;
+  std::vector<std::int32_t> next;
+  std::vector<std::int32_t> prev;
+  std::vector<std::int32_t> depth;
   std::vector<std::int32_t> ring;  // fixed-capacity ring buffer queue
   std::vector<std::int8_t> queued;
 
-  // Cycle extraction.
-  std::vector<std::int8_t> color;
-  std::vector<std::int32_t> path;
-  std::vector<std::int32_t> cycle_local;
+  // The circuit the kernel last found (original arc ids, traversal order)
+  // and the exact phase's current critical circuit.
   std::vector<std::int32_t> bf_cycle;
   std::vector<std::int32_t> critical;
 
-  // Warm-start key for the exact phase's structural state (`cyclic` + its
-  // CSR): the layout stamp and sizes of the graph they were derived from.
+  // Warm-start key for the exact phase's structural state (`cyclic`, its
+  // CSR and scaled H): the layout stamp and sizes of the graph they were
+  // derived from.
   // 0 = not reusable. Mirrors HowardScratch's key; reset_warm_start()
   // clears both, forcing the next solve fully cold.
   std::uint64_t warm_stamp = 0;
@@ -143,19 +167,17 @@ struct McrpScratch {
 void solve_max_cycle_ratio(const BivaluedGraph& g, const McrpOptions& options,
                            McrpScratch& scratch, McrpResult& out);
 
-/// True iff some circuit of `g` has positive total weight under the per-arc
-/// rational `weights` (one entry per arc id). Reuses the scratch's
-/// SCC-restricted cyclic core and CSR adjacency when the graph's layout
-/// stamp matches what the scratch last derived (any prior solve on `g`
-/// records it); derives them cold otherwise. When the weights admit a
-/// common denominator with i128 headroom (the usual case), the relaxation
-/// runs on scaled integer labels — same verdict, no per-step rational
-/// normalization. The symbolic-region engine (core/regions.hpp) calls this
-/// to certify that a candidate ratio λ stays maximal along a parameter
-/// ray: no circuit beats λ iff no circuit is positive under
-/// w(e) = L(e) - λ·H(e).
-[[nodiscard]] bool has_positive_cycle(const BivaluedGraph& g, std::span<const Rational> weights,
-                                      McrpScratch& scratch);
+/// True iff some circuit of `g` has positive total weight under
+/// w(e) = costs[e] - λ·H(e) (`costs` holds one L value per arc id). The
+/// symbolic-region engine (core/regions.hpp) calls this to certify that a
+/// candidate ratio λ stays maximal along a parameter ray: no circuit beats
+/// λ iff none is positive under w. Runs the solver's positive-cycle kernel
+/// on scaled i128 labels (Rational only on overflow) over the scratch's
+/// SCC-restricted cyclic core, which it reuses when the graph's layout stamp
+/// matches what the scratch last derived (any prior solve on `g` records
+/// it) and derives cold otherwise.
+[[nodiscard]] bool has_positive_cycle(const BivaluedGraph& g, std::span<const i64> costs,
+                                      const Rational& lambda, McrpScratch& scratch);
 
 /// Just the potentials relaxation at a given λ (the pass solve_… performs
 /// when compute_potentials is set). Precondition: no circuit of `g` has

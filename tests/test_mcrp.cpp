@@ -3,9 +3,16 @@
 // instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "api/analysis.hpp"
+#include "core/constraints.hpp"
+#include "io/text_format.hpp"
 #include "mcrp/cycle_ratio.hpp"
 #include "mcrp/howard.hpp"
 #include "mcrp/karp.hpp"
+#include "model/repetition.hpp"
+#include "model/transform.hpp"
 #include "util/rng.hpp"
 
 namespace kp {
@@ -165,6 +172,65 @@ TEST(CycleRatio, ExactModeMatchesAccelerated) {
   }
 }
 
+// A valid graph on which a path-length cycle rule (a node whose recorded
+// relaxation path reaches n arcs must sit under a parent-pointer cycle)
+// finds none: the lengths were recorded under since-replaced parents, so
+// the current parent chain ends at a root. The subtree-disassembly kernel
+// reports a circuit as soon as it closes.
+TEST(CycleRatio, PositiveCycleFoundWhereParentChainIsStale) {
+  const CsdfGraph g = parse_csdf(R"(csdf "breach"
+task t0 durations [49,2,22]
+task t1 durations [32]
+task t2 durations [49]
+buffer "a" t1 -> t0 prod [21] cons [2,5,5] tokens 0
+buffer "b" t2 -> t1 prod [12] cons [3] tokens 0
+buffer "c" t0 -> t2 prod [1,0,0] cons [7] tokens 14
+buffer "d" t1 -> t0 prod [14] cons [2,2,4] tokens 62
+)");
+  AnalysisOptions exact_only;
+  exact_only.kiter.mcrp.accelerate_with_double = false;
+  for (const AnalysisOptions& o : {AnalysisOptions{}, exact_only}) {
+    const Analysis a = analyze_throughput(g, Method::KIter, o);
+    ASSERT_EQ(a.outcome, Outcome::Value) << a.detail;
+    EXPECT_EQ(a.period, Rational{511});
+  }
+
+  const CsdfGraph sg = add_serialization_buffers(g);
+  const RepetitionVector rv = compute_repetition_vector(sg);
+  const ConstraintGraph cg =
+      build_constraint_graph(sg, rv, std::vector<i64>(static_cast<std::size_t>(sg.task_count()), 1));
+  ASSERT_EQ(cg.graph.node_count(), 5);
+  ASSERT_EQ(cg.graph.arc_count(), 13);
+  EXPECT_EQ(solve_max_cycle_ratio(cg.graph).ratio, Rational{511});
+  McrpScratch scratch;
+  EXPECT_TRUE(has_positive_cycle(cg.graph, cg.graph.costs(), Rational::of(1533, 10), scratch));
+  EXPECT_FALSE(has_positive_cycle(cg.graph, cg.graph.costs(), Rational{511}, scratch));
+}
+
+// Eight disjoint 2-cycles whose H denominators are distinct primes near
+// 2^20: their lcm (~2^160) does not fit i128, so the exact phase can only
+// run on Rational labels.
+TEST(CycleRatio, RationalLabelsWhenTimeScaleOverflows) {
+  const std::vector<i64> primes{1048573, 1048571, 1048559, 1048549,
+                                1048517, 1048507, 1048447, 1048433};
+  BivaluedGraph g(16);
+  for (std::int32_t i = 0; i < 8; ++i) {
+    const Rational h = Rational::of(1, primes[static_cast<std::size_t>(i)]);
+    g.add_arc(2 * i, 2 * i + 1, i + 1, h);
+    g.add_arc(2 * i + 1, 2 * i, 1, h);
+  }
+  McrpOptions exact_only;
+  exact_only.accelerate_with_double = false;
+  for (const McrpOptions& o : {McrpOptions{}, exact_only}) {
+    const McrpResult r = solve_max_cycle_ratio(g, o);
+    ASSERT_EQ(r.status, McrpStatus::Optimal);
+    EXPECT_EQ(r.ratio, Rational::of(9435897, 2));  // 9 / (2/1048433)
+    std::vector<std::int32_t> arcs = r.critical_cycle;
+    std::sort(arcs.begin(), arcs.end());
+    EXPECT_EQ(arcs, (std::vector<std::int32_t>{14, 15}));
+  }
+}
+
 TEST(Howard, SelfLoop) {
   const HowardResult r = howard_max_ratio(single_loop(6, Rational{2}));
   ASSERT_EQ(r.status, HowardResult::Status::Optimal);
@@ -260,7 +326,8 @@ TEST(Karp, OversizedSccThrows) {
 }
 
 // Cross-check sweep: on unit-time graphs, cycle ratio == cycle mean, so
-// the exact solver, Howard and Karp must agree.
+// the exact solver, Howard and Karp must agree; and has_positive_cycle
+// must find no positive circuit at the optimum λ* but one just below it.
 class SolverAgreement : public ::testing::TestWithParam<u64> {};
 
 TEST_P(SolverAgreement, RatioEqualsMeanOnUnitTimeGraphs) {
@@ -291,6 +358,12 @@ TEST_P(SolverAgreement, RatioEqualsMeanOnUnitTimeGraphs) {
     i64 wc = 0;
     for (const auto a : karp.cycle_arcs) wc += weights[static_cast<std::size_t>(a)];
     EXPECT_EQ(Rational(wc, static_cast<i128>(karp.cycle_arcs.size())), karp.max_cycle_mean);
+    if (exact.ratio.sign() > 0) {
+      McrpScratch scratch;
+      EXPECT_FALSE(has_positive_cycle(bg, bg.costs(), exact.ratio, scratch)) << "round " << round;
+      EXPECT_TRUE(has_positive_cycle(bg, bg.costs(), exact.ratio * Rational::of(999, 1000), scratch))
+          << "round " << round;
+    }
   }
 }
 
