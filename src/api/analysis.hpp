@@ -10,9 +10,11 @@
 //   Expansion         — HSDF-expansion baseline [10]/[6] (SDF only).
 //
 // All methods run on the same semantics: by default tasks are serialized
-// (one phase at a time) by adding the implicit self-buffers before
-// analysis, matching SDF3 practice; turn serialize_tasks off to analyze
-// with unlimited auto-concurrency.
+// (one phase at a time) by an implicit one-token self-buffer on every task
+// that has none, matching SDF3 practice. K-Iter gets these buffers as extra
+// constraint-generator input, with no copy of the graph; the other methods
+// analyze a copy that holds them. Turn serialize_tasks off to analyze with
+// unlimited auto-concurrency.
 #pragma once
 
 #include <optional>

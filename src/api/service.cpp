@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
+#include <string>
 #include <utility>
 
 #include "core/constraints.hpp"
@@ -16,29 +16,34 @@ namespace kp {
 
 namespace {
 
-std::string k_to_string(const std::vector<i64>& k) {
-  // Compact rendering: "1^12" for all-ones, else the few non-1 entries.
-  std::ostringstream os;
+/// Appends the compact rendering of K to `out`: "K=1" for all-ones, else
+/// the non-1 entries, cut with ",..." once the K part alone passes 60 bytes.
+void append_k(std::string& out, const std::vector<i64>& k) {
   std::size_t ones = 0;
   for (const i64 v : k) ones += (v == 1);
   if (ones == k.size()) {
-    os << "K=1";
-    return os.str();
+    out += "K=1";
+    return;
   }
-  os << "K={";
+  const std::size_t start = out.size();
+  out += "K={";
   bool first = true;
   for (std::size_t i = 0; i < k.size(); ++i) {
     if (k[i] == 1) continue;
-    if (!first) os << ",";
-    os << "t" << i << ":" << k[i];
+    if (!first) out += ',';
+    out += 't';
+    out += std::to_string(i);
+    out += ':';
+    out += std::to_string(k[i]);
     first = false;
-    if (!first && os.tellp() > 60) {
-      os << ",...";
+    if (out.size() - start > 60) {
+      out += ",...";
       break;
     }
   }
-  os << "} (" << (k.size() - ones) << " tasks >1)";
-  return os.str();
+  out += "} (";
+  out += std::to_string(k.size() - ones);
+  out += " tasks >1)";
 }
 
 /// min of two budgets where < 0 means "unlimited".
@@ -136,9 +141,12 @@ struct PollChain {
   }
 };
 
-Analysis run_kiter(const CsdfGraph& g, const AnalysisOptions& options, double deadline_ms,
-                   const CancelToken& cancel, KIterWorkspace& ws,
-                   std::vector<i64>* warm_k = nullptr, bool* warm_k_valid = nullptr) {
+/// K-Iter on g plus the `extra` buffers (the serialization self-loops, or
+/// none), with `rv` the repetition vector of g.
+Analysis run_kiter(const CsdfGraph& g, const RepetitionVector& rv, std::span<const Buffer> extra,
+                   const AnalysisOptions& options, double deadline_ms, const CancelToken& cancel,
+                   KIterWorkspace& ws, std::vector<i64>* warm_k = nullptr,
+                   bool* warm_k_valid = nullptr) {
   Analysis a;
   KIterOptions kiter = options.kiter;
   kiter.time_budget_ms = tighten_budget(kiter.time_budget_ms, deadline_ms);
@@ -156,9 +164,11 @@ Analysis run_kiter(const CsdfGraph& g, const AnalysisOptions& options, double de
     kiter.poll_ctx = &chain;
   }
 
-  KIterResult r = kiter_throughput(g, compute_repetition_vector(g), kiter, ws);
-  std::ostringstream detail;
-  detail << "rounds=" << r.rounds << " " << k_to_string(r.k);
+  KIterResult r = kiter_throughput(g, rv, kiter, ws, extra);
+  a.detail = "rounds=";
+  a.detail += std::to_string(r.rounds);
+  a.detail += ' ';
+  append_k(a.detail, r.k);
   a.rounds = r.rounds;
   a.mcrp_iterations = r.mcrp_iterations;
   a.howard_iterations = r.howard_iterations;
@@ -184,13 +194,13 @@ Analysis run_kiter(const CsdfGraph& g, const AnalysisOptions& options, double de
     case ThroughputStatus::ResourceLimit:
       if (r.cancelled) {
         a.outcome = Outcome::Budget;
-        detail << " (cancelled)";
+        a.detail += " (cancelled)";
       } else if (r.has_feasible_bound) {
         a.outcome = Outcome::Value;
         a.quality = Quality::AchievableBound;
         a.period = r.period;
         a.throughput = r.throughput;
-        detail << " (budget hit; best feasible bound reported)";
+        a.detail += " (budget hit; best feasible bound reported)";
       } else {
         a.outcome = Outcome::Budget;
       }
@@ -210,7 +220,6 @@ Analysis run_kiter(const CsdfGraph& g, const AnalysisOptions& options, double de
       ws.reset_solver_warm_start();
     }
   }
-  a.detail = detail.str();
   return a;
 }
 
@@ -257,15 +266,15 @@ Analysis run_symbolic(const CsdfGraph& g, const AnalysisOptions& options, double
     sim.poll_ctx = &chain;
   }
   const SimResult r = symbolic_execution_throughput(g, rv, sim);
-  std::ostringstream detail;
-  detail << "states=" << r.states_explored;
+  a.detail = "states=" + std::to_string(r.states_explored);
   switch (r.status) {
     case SimStatus::Periodic:
       a.outcome = Outcome::Value;
       a.quality = Quality::Exact;
       a.period = r.period;
       a.throughput = r.throughput;
-      detail << " transient=" << r.transient_time << " cycle=" << r.cycle_time;
+      a.detail += " transient=" + std::to_string(r.transient_time) +
+                  " cycle=" + std::to_string(r.cycle_time);
       break;
     case SimStatus::Deadlock:
       a.outcome = Outcome::Deadlock;
@@ -275,10 +284,9 @@ Analysis run_symbolic(const CsdfGraph& g, const AnalysisOptions& options, double
       break;
     case SimStatus::Budget:
       a.outcome = Outcome::Budget;
-      if (cancel.cancelled()) detail << " (cancelled)";
+      if (cancel.cancelled()) a.detail += " (cancelled)";
       break;
   }
-  a.detail = detail.str();
   return a;
 }
 
@@ -287,8 +295,7 @@ Analysis run_expansion(const CsdfGraph& g, const AnalysisOptions& options) {
   const RepetitionVector rv = compute_repetition_vector(g);
   const ExpansionResult r =
       expansion_throughput(g, rv, options.expansion_max_nodes, options.expansion_max_arcs);
-  std::ostringstream detail;
-  detail << "hsdf_nodes=" << r.nodes << " hsdf_arcs=" << r.arcs;
+  a.detail = "hsdf_nodes=" + std::to_string(r.nodes) + " hsdf_arcs=" + std::to_string(r.arcs);
   switch (r.status) {
     case ThroughputStatus::Optimal:
       a.outcome = Outcome::Value;
@@ -306,16 +313,16 @@ Analysis run_expansion(const CsdfGraph& g, const AnalysisOptions& options) {
       a.outcome = Outcome::Budget;
       break;
   }
-  a.detail = detail.str();
   return a;
 }
 
-/// One request, start to finish, on the given workspace. This is the single
-/// execution path every service entry point funnels through — batch, async
-/// and inline analyses of the same request are therefore identical.
-Analysis execute_request(const CsdfGraph& graph, Method method, const AnalysisOptions& options,
-                         double deadline_ms, const CancelToken& cancel, KIterWorkspace& ws,
-                         std::vector<i64>* warm_k = nullptr, bool* warm_k_valid = nullptr) {
+/// The shell of every request: the cancellation check before any work,
+/// then `run` (the method itself), the method stamp and the elapsed time.
+/// `warm_k_valid` is the caller's warm-start flag, if any: cancellation is
+/// a warm-state boundary like any other fallback.
+template <typename Run>
+Analysis timed_request(Method method, const CancelToken& cancel, KIterWorkspace& ws,
+                       bool* warm_k_valid, Run&& run) {
   Stopwatch clock;
   Analysis a;
   if (cancel.cancelled()) {
@@ -323,41 +330,64 @@ Analysis execute_request(const CsdfGraph& graph, Method method, const AnalysisOp
     a.outcome = Outcome::Budget;
     a.detail = "cancelled before execution";
     a.elapsed_ms = clock.elapsed_ms();
-    // Cancellation is a warm-state boundary like any other fallback.
     if (warm_k_valid != nullptr) {
       *warm_k_valid = false;
       ws.reset_solver_warm_start();
     }
     return a;
   }
-  CsdfGraph serialized;
-  if (options.serialize_tasks) serialized = add_serialization_buffers(graph);
-  const CsdfGraph& prepared = options.serialize_tasks ? serialized : graph;
-  switch (method) {
-    case Method::KIter:
-      a = run_kiter(prepared, options, deadline_ms, cancel, ws, warm_k, warm_k_valid);
-      break;
-    case Method::Periodic:
-      a = run_periodic(prepared, options);
-      break;
-    case Method::SymbolicExecution:
-      a = run_symbolic(prepared, options, deadline_ms, cancel);
-      break;
-    case Method::Expansion:
-      a = run_expansion(prepared, options);
-      break;
-  }
+  a = run();
   a.method = method;
   a.elapsed_ms = clock.elapsed_ms();
   return a;
 }
 
+/// One request on the graph as given, start to finish, on the given
+/// workspace. This is the single execution path every plain request
+/// funnels through — batch, async and inline analyses of the same request
+/// are therefore identical. K-Iter never copies the graph: the
+/// serialization self-loops go into `serial` (the worker's per-request
+/// scratch) and on to the constraint generator as extra buffers, and q is
+/// computed on the graph as given, since a unit self-loop changes neither
+/// q nor the consistency verdict. The other methods analyze a serialized
+/// copy.
+Analysis execute_request(const CsdfGraph& graph, Method method, const AnalysisOptions& options,
+                         double deadline_ms, const CancelToken& cancel, KIterWorkspace& ws,
+                         std::vector<Buffer>& serial) {
+  return timed_request(method, cancel, ws, nullptr, [&]() -> Analysis {
+    if (method == Method::KIter) {
+      if (options.serialize_tasks) {
+        serialization_buffers_into(graph, serial);
+      } else {
+        serial.clear();
+      }
+      return run_kiter(graph, compute_repetition_vector(graph), serial, options, deadline_ms,
+                       cancel, ws);
+    }
+    CsdfGraph serialized;
+    if (options.serialize_tasks) serialized = add_serialization_buffers(graph);
+    const CsdfGraph& prepared = options.serialize_tasks ? serialized : graph;
+    switch (method) {
+      case Method::Periodic:
+        return run_periodic(prepared, options);
+      case Method::SymbolicExecution:
+        return run_symbolic(prepared, options, deadline_ms, cancel);
+      case Method::Expansion:
+        return run_expansion(prepared, options);
+      case Method::KIter:
+        break;
+    }
+    return Analysis{};
+  });
+}
+
 }  // namespace
 
-/// One variant batch in flight: the caller's batch, the serialization-
-/// prepared base every worker copies once, and the generation stamp that
-/// keys worker-local variant scratch. Lives on the analyze_variants stack
-/// for the whole blocking call.
+/// One variant batch in flight: the caller's batch, the base every worker
+/// copies once (serialized for the non-K-Iter methods; K-Iter takes the
+/// base as given and adds the self-loops in the generator), and the
+/// generation stamp that keys worker-local variant scratch. Lives on the
+/// analyze_variants stack for the whole blocking call.
 struct ThroughputService::VariantRun {
   const VariantBatch* batch = nullptr;
   const CsdfGraph* prepared = nullptr;
@@ -626,7 +656,7 @@ void ThroughputService::run_job(Job& job, int worker_id) {
       if (!served) {
         const AnalysisRequest& req = job.req();
         job.result = execute_request(req.graph, req.method, req.options, req.deadline_ms,
-                                     req.cancel, worker.workspace);
+                                     req.cancel, worker.workspace, worker.request_serial);
         solve_hist_.record_ms(job.result.elapsed_ms);
         executed_.fetch_add(1, std::memory_order_relaxed);
         if (job.cacheable) {
@@ -651,18 +681,28 @@ void ThroughputService::run_job(Job& job, int worker_id) {
 
 Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index,
                                         Worker& worker) {
+  const VariantBatch& batch = *run.batch;
+  const bool kiter = batch.method == Method::KIter;
   // First variant of this batch on this worker: materialize the prepared
-  // base once. Every later variant is revert + apply, O(delta).
+  // base once. Every later variant is revert + apply, O(delta). A K-Iter
+  // batch also builds its serialization self-loops here, once: a delta
+  // cannot change the graph's shape, so one list serves every variant.
   if (worker.variant_gen != run.gen) {
     worker.variant_graph = *run.prepared;
     worker.variant_gen = run.gen;
     worker.variant_applied = -1;
+    worker.variant_rv_ready = false;
+    if (kiter && batch.options.serialize_tasks) {
+      serialization_buffers_into(*run.prepared, worker.variant_serial);
+    } else {
+      worker.variant_serial.clear();
+    }
     // Batch start is a warm-state boundary: never seed the first variant of
     // a batch from whatever the worker solved last.
     worker.warm_k_valid = false;
     worker.workspace.reset_solver_warm_start();
   }
-  const std::vector<GraphDelta>& deltas = run.batch->deltas;
+  const std::vector<GraphDelta>& deltas = batch.deltas;
   try {
     if (worker.variant_applied >= 0) {
       revert_delta(worker.variant_graph,
@@ -677,12 +717,17 @@ Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index
     worker.variant_gen = 0;
     throw;
   }
-  // Serialization was applied to the base once; the variant must not get a
-  // second layer of self-buffers.
-  AnalysisOptions options = run.batch->options;
-  options.serialize_tasks = false;
-  const bool warm = run.batch->warm_start && run.batch->method == Method::KIter;
-  if (warm && !deltas[index].rates.empty()) {
+  AnalysisOptions options = batch.options;
+  if (!kiter) {
+    // Serialization was applied to the base once; the variant must not get
+    // a second layer of self-buffers.
+    options.serialize_tasks = false;
+    return execute_request(worker.variant_graph, batch.method, options, batch.deadline_ms,
+                           batch.cancel, worker.workspace, worker.request_serial);
+  }
+  const bool rates = !deltas[index].rates.empty();
+  const bool warm = batch.warm_start;
+  if (warm && rates) {
     // A rate delta changes the repetition vector, so the previous variant's
     // K is meaningless here (kiter would sanitize it entry-by-entry, but an
     // rv change is a declared fallback boundary: go fully cold).
@@ -690,10 +735,25 @@ Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index
     worker.workspace.reset_solver_warm_start();
   }
   if (warm) options.kiter.mcrp.howard_warm_start = true;
-  return execute_request(worker.variant_graph, run.batch->method, options,
-                         run.batch->deadline_ms, run.batch->cancel, worker.workspace,
-                         warm ? &worker.warm_k : nullptr,
-                         warm ? &worker.warm_k_valid : nullptr);
+  return timed_request(
+      Method::KIter, batch.cancel, worker.workspace, warm ? &worker.warm_k_valid : nullptr,
+      [&] {
+        // q once per batch: execution times and markings never change it,
+        // so the base's q serves every variant whose delta leaves the
+        // rates alone. A rate delta gets its own.
+        RepetitionVector own;
+        const RepetitionVector* rv = &worker.variant_rv;
+        if (rates) {
+          own = compute_repetition_vector(worker.variant_graph);
+          rv = &own;
+        } else if (!worker.variant_rv_ready) {
+          worker.variant_rv = compute_repetition_vector(worker.variant_graph);
+          worker.variant_rv_ready = true;
+        }
+        return run_kiter(worker.variant_graph, *rv, worker.variant_serial, options,
+                         batch.deadline_ms, batch.cancel, worker.workspace,
+                         warm ? &worker.warm_k : nullptr, warm ? &worker.warm_k_valid : nullptr);
+      });
 }
 
 std::vector<Analysis> ThroughputService::run_symbolic_variants(const VariantRun& run,
@@ -753,10 +813,14 @@ std::vector<Analysis> ThroughputService::run_symbolic_variants(const VariantRun&
       s.critical_cycle = cert;
       s.critical_cycle.cycle_cost = certifier.numerator_at(p);
       s.critical_cycle.ratio = s.period;
-      std::ostringstream detail;
-      detail << "symbolic region anchor=" << i << " [" << i << ".." << end << "] "
-             << k_to_string(cert.k);
-      s.detail = detail.str();
+      s.detail = "symbolic region anchor=";
+      s.detail += std::to_string(i);
+      s.detail += " [";
+      s.detail += std::to_string(i);
+      s.detail += "..";
+      s.detail += std::to_string(end);
+      s.detail += "] ";
+      append_k(s.detail, cert.k);
       s.request_id = p;
       s.worker_id = worker_id;
       s.elapsed_ms = clock.elapsed_ms();
@@ -859,10 +923,11 @@ std::vector<Analysis> ThroughputService::analyze_batch(std::span<const AnalysisR
 }
 
 std::vector<Analysis> ThroughputService::analyze_variants(const VariantBatch& batch) {
-  // Delta ids must be validated against the BASE graph up front: the
-  // workers apply deltas to the serialization-augmented copy, where an
-  // out-of-range base buffer id would silently resolve to a serialization
-  // self-loop instead of throwing.
+  // Delta ids are validated against the BASE graph up front, so a bad id is
+  // reported before any variant runs. Non-K-Iter workers also apply deltas
+  // to a serialization-augmented copy, where an out-of-range base buffer id
+  // would silently resolve to a serialization self-loop instead of
+  // throwing.
   for (std::size_t i = 0; i < batch.deltas.size(); ++i) {
     try {
       validate_delta_targets(batch.base, batch.deltas[i]);
@@ -873,8 +938,11 @@ std::vector<Analysis> ThroughputService::analyze_variants(const VariantBatch& ba
 
   VariantRun run;
   run.batch = &batch;
+  // K-Iter variants run on the base as given, with the self-loops as extra
+  // generator input (run_variant); the other methods analyze a serialized
+  // copy, made here once for every worker.
   CsdfGraph serialized;
-  if (batch.options.serialize_tasks) {
+  if (batch.options.serialize_tasks && batch.method != Method::KIter) {
     serialized = add_serialization_buffers(batch.base);
     run.prepared = &serialized;
   } else {
@@ -1003,7 +1071,8 @@ Analysis ThroughputService::analyze(const CsdfGraph& g, Method method,
   }
   Worker& caller = *workers_.back();
   std::lock_guard<std::mutex> wk(caller.in_use);
-  Analysis a = execute_request(g, method, options, deadline_ms, cancel, caller.workspace);
+  Analysis a = execute_request(g, method, options, deadline_ms, cancel, caller.workspace,
+                               caller.request_serial);
   a.worker_id = caller_id;
   solve_hist_.record_ms(a.elapsed_ms);
   executed_.fetch_add(1, std::memory_order_relaxed);

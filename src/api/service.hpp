@@ -325,9 +325,13 @@ class ThroughputService {
   /// Analyzes every variant of `batch.base` over the pool: results[i]
   /// answers base + deltas[i] with request_id == i, in delta order, with
   /// the same determinism guarantee as analyze_batch. Serialization
-  /// (options.serialize_tasks) is applied once to the base — delta ids
-  /// refer to the base graph and stay valid. A delta naming a task/buffer
-  /// id the base does not have throws ModelError before any variant runs;
+  /// (options.serialize_tasks) is prepared once per batch on each worker:
+  /// K-Iter builds the base's self-loops once and hands them to the
+  /// constraint generator, and computes q once on the base (again only for
+  /// a variant whose delta edits rates); the other methods copy a base
+  /// serialized once. Delta ids refer to the base graph and stay valid. A
+  /// delta naming a task/buffer id the base does not have throws
+  /// ModelError before any variant runs;
   /// other invalid deltas (wrong vector size, negative value) throw out of
   /// this call after the batch drains, like an engine error in
   /// analyze_batch would.
@@ -372,13 +376,28 @@ class ThroughputService {
     KIterWorkspace workspace;
     std::mutex in_use;  // guards the workspace in inline mode
 
+    /// Per-request scratch: the serialization self-loops of the plain
+    /// K-Iter request being served (serialization_buffers_into), handed to
+    /// the constraint generator instead of a serialized graph copy. Every
+    /// plain request rewrites it, so no batch state may live here.
+    std::vector<Buffer> request_serial;
+
     // analyze_variants scratch: the one materialized variant graph this
     // worker mutates through the batch, keyed by batch generation (0 =
     // none) so a graph left over from an earlier batch is never mistaken
-    // for the current base.
+    // for the current base. The K-Iter batch state below shares that key.
+    // It is kept apart from request_serial because a pool worker
+    // interleaves jobs of different calls: a plain request may run between
+    // two variant jobs of one batch.
     u64 variant_gen = 0;
     std::ptrdiff_t variant_applied = -1;  ///< delta currently applied, -1 = base
     CsdfGraph variant_graph;
+    /// K-Iter batches: the base's serialization self-loops (built once per
+    /// batch — a delta cannot change the graph's shape) and the base's q
+    /// (computed on first use, valid when variant_rv_ready).
+    std::vector<Buffer> variant_serial;
+    bool variant_rv_ready = false;
+    RepetitionVector variant_rv;
 
     // Cross-variant warm-start state (VariantBatch::warm_start): the final
     // periodicity vector of the last Optimal variant this worker solved in

@@ -31,6 +31,25 @@ i128 mod_inverse(i128 a, i128 m) {
   return pmod(old_s, m);
 }
 
+/// The buffers one build covers: g's own, then the caller's extra ones, whose
+/// ids continue after g's. Every per-buffer loop below walks this one
+/// sequence, so (g, extra) is emitted, fingerprinted, diffed and priced
+/// exactly like a graph that owned all of these buffers in this order.
+class BufferSeq {
+ public:
+  BufferSeq(const CsdfGraph& g, std::span<const Buffer> extra)
+      : own_(g.buffers()), extra_(extra) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return own_.size() + extra_.size(); }
+  [[nodiscard]] const Buffer& operator[](std::size_t i) const noexcept {
+    return i < own_.size() ? own_[i] : extra_[i - own_.size()];
+  }
+
+ private:
+  std::span<const Buffer> own_;
+  std::span<const Buffer> extra_;
+};
+
 /// Validates (g, rv, k) and lays out the duplicated-phase node space into
 /// `cg` (k, task_first_node, resized node maps, reset graph), reusing its
 /// storage. The node maps are left for the caller to fill (fill_task_nodes)
@@ -205,11 +224,12 @@ void snapshot_durations(const CsdfGraph& g, ConstraintGraphCache& cache) {
   }
 }
 
-void snapshot_buffers(const CsdfGraph& g, const RepetitionVector& rv,
+void snapshot_buffers(const BufferSeq& bufs, const RepetitionVector& rv,
                       ConstraintGraphCache& cache) {
   cache.key_buf.clear();
   cache.key_rates.clear();
-  for (const Buffer& b : g.buffers()) {
+  for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
+    const Buffer& b = bufs[bid];
     cache.key_buf.push_back(b.src);
     cache.key_buf.push_back(b.dst);
     cache.key_buf.push_back(b.initial_tokens);
@@ -222,11 +242,12 @@ void snapshot_buffers(const CsdfGraph& g, const RepetitionVector& rv,
 /// Records the exact model content the companion graph encodes: per-task
 /// phase counts, all durations, per-buffer (src, dst, M0, q_src) and all
 /// rate vectors.
-void snapshot_model(const CsdfGraph& g, const RepetitionVector& rv, ConstraintGraphCache& cache) {
+void snapshot_model(const CsdfGraph& g, const BufferSeq& bufs, const RepetitionVector& rv,
+                    ConstraintGraphCache& cache) {
   cache.key_task_phi.clear();
   for (const Task& t : g.tasks()) cache.key_task_phi.push_back(t.phases());
   snapshot_durations(g, cache);
-  snapshot_buffers(g, rv, cache);
+  snapshot_buffers(bufs, rv, cache);
 }
 
 /// True iff buffer `bid`'s content fingerprint — marking, producer q, rate
@@ -253,16 +274,15 @@ bool buffer_content_matches(const ConstraintGraphCache& cache, const Buffer& b, 
 /// counts, same phase counts, same endpoints. Only same-shaped graphs are
 /// diffable — the node layout and buffer emission order line up, so every
 /// difference is expressible per buffer.
-bool shape_matches(const CsdfGraph& g, const ConstraintGraphCache& cache) {
+bool shape_matches(const CsdfGraph& g, const BufferSeq& bufs, const ConstraintGraphCache& cache) {
   const auto ntasks = static_cast<std::size_t>(g.task_count());
-  const auto nbuf = static_cast<std::size_t>(g.buffer_count());
+  const std::size_t nbuf = bufs.size();
   if (cache.key_task_phi.size() != ntasks || cache.key_buf.size() != 4 * nbuf) return false;
   for (std::size_t t = 0; t < ntasks; ++t) {
     if (cache.key_task_phi[t] != g.tasks()[t].phases()) return false;
   }
   for (std::size_t b = 0; b < nbuf; ++b) {
-    if (cache.key_buf[4 * b] != g.buffers()[b].src ||
-        cache.key_buf[4 * b + 1] != g.buffers()[b].dst) {
+    if (cache.key_buf[4 * b] != bufs[b].src || cache.key_buf[4 * b + 1] != bufs[b].dst) {
       return false;
     }
   }
@@ -407,9 +427,12 @@ std::string ConstraintGraph::describe_circuit(const CsdfGraph& g,
   return out;
 }
 
-i128 constraint_pair_count(const CsdfGraph& g, const std::vector<i64>& k) {
+i128 constraint_pair_count(const CsdfGraph& g, const std::vector<i64>& k,
+                           std::span<const Buffer> extra) {
+  const BufferSeq bufs(g, extra);
   i128 pairs = 0;
-  for (const Buffer& b : g.buffers()) {
+  for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
+    const Buffer& b = bufs[bid];
     const i128 rows = checked_mul(i128{k[static_cast<std::size_t>(b.src)]},
                                   i128{g.phases(b.src)});
     const i128 cols = checked_mul(i128{k[static_cast<std::size_t>(b.dst)]},
@@ -419,9 +442,12 @@ i128 constraint_pair_count(const CsdfGraph& g, const std::vector<i64>& k) {
   return pairs;
 }
 
-i128 constraint_work_estimate(const CsdfGraph& g, const std::vector<i64>& k) {
+i128 constraint_work_estimate(const CsdfGraph& g, const std::vector<i64>& k,
+                              std::span<const Buffer> extra) {
+  const BufferSeq bufs(g, extra);
   i128 work = 0;
-  for (const Buffer& b : g.buffers()) {
+  for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
+    const Buffer& b = bufs[bid];
     work = checked_add(work, buffer_stride_work(b, k[static_cast<std::size_t>(b.src)],
                                                 k[static_cast<std::size_t>(b.dst)]));
   }
@@ -430,20 +456,21 @@ i128 constraint_work_estimate(const CsdfGraph& g, const std::vector<i64>& k) {
 
 i128 constraint_patch_work_estimate(const CsdfGraph& g, const RepetitionVector& rv,
                                     const std::vector<i64>& k_from, const std::vector<i64>& k,
-                                    const ConstraintGraphCache& cache) {
-  const auto nbuf = static_cast<std::size_t>(g.buffer_count());
+                                    const ConstraintGraphCache& cache,
+                                    std::span<const Buffer> extra) {
+  const BufferSeq bufs(g, extra);
+  const std::size_t nbuf = bufs.size();
   if (!cache.valid || k_from.size() != k.size() ||
       k.size() != static_cast<std::size_t>(g.task_count()) ||
-      cache.buf_arc_begin.size() != nbuf + 1 || !shape_matches(g, cache)) {
-    return constraint_work_estimate(g, k);
+      cache.buf_arc_begin.size() != nbuf + 1 || !shape_matches(g, bufs, cache)) {
+    return constraint_work_estimate(g, k, extra);
   }
   i128 work = 0;
   std::size_t rate_off = 0;
-  for (BufferId bid = 0; bid < g.buffer_count(); ++bid) {
-    const Buffer& b = g.buffer(bid);
+  for (std::size_t idx = 0; idx < nbuf; ++idx) {
+    const Buffer& b = bufs[idx];
     const auto src = static_cast<std::size_t>(b.src);
     const auto dst = static_cast<std::size_t>(b.dst);
-    const auto idx = static_cast<std::size_t>(bid);
     const bool untouched = buffer_content_matches(cache, b, idx, rv, rate_off) &&
                            k_from[src] == k[src] && k_from[dst] == k[dst];
     if (untouched) {
@@ -459,7 +486,8 @@ i128 constraint_patch_work_estimate(const CsdfGraph& g, const RepetitionVector& 
 
 bool build_constraint_graph_into(const CsdfGraph& g, const RepetitionVector& rv,
                                  const std::vector<i64>& k, ConstraintGraph& cg,
-                                 const ConstraintPoll* poll) {
+                                 const ConstraintPoll* poll, std::span<const Buffer> extra) {
+  const BufferSeq bufs(g, extra);
   init_constraint_nodes(g, rv, k, cg);
   // Per buffer, emit exactly the useful (p̃, p̃') pairs. With
   // γ = gcd(ĩ_b, õ_b), Q̃ - 1 = cum_out(p̃') + A(p̃) and a pair is useful
@@ -471,8 +499,8 @@ bool build_constraint_graph_into(const CsdfGraph& g, const RepetitionVector& rv,
   // valid j form arithmetic progressions of stride γ/gcd(o_b, γ), solved
   // by one modular inverse per buffer (emit_buffer_arcs).
   EmitState st(poll);
-  for (BufferId bid = 0; bid < g.buffer_count(); ++bid) {
-    if (!emit_buffer_arcs(g, rv, g.buffer(bid), k, cg, st)) return false;
+  for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
+    if (!emit_buffer_arcs(g, rv, bufs[bid], k, cg, st)) return false;
   }
   cg.graph.graph().finalize();
   return true;
@@ -480,15 +508,17 @@ bool build_constraint_graph_into(const CsdfGraph& g, const RepetitionVector& rv,
 
 bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVector& rv,
                                         const std::vector<i64>& k, ConstraintGraph& cg,
-                                        ConstraintGraphCache& cache, const ConstraintPoll* poll) {
-  const auto nbuf = static_cast<std::size_t>(g.buffer_count());
+                                        ConstraintGraphCache& cache, const ConstraintPoll* poll,
+                                        std::span<const Buffer> extra) {
+  const BufferSeq bufs(g, extra);
+  const std::size_t nbuf = bufs.size();
   const auto ntasks = static_cast<std::size_t>(g.task_count());
 
   // Diff (g, k) against the cached content snapshot. The patch path needs a
   // valid span record for a same-shaped graph and at least one buffer whose
   // arcs survive structurally.
   bool patch = cache.valid && cg.k.size() == k.size() && k.size() == ntasks &&
-               cache.buf_arc_begin.size() == nbuf + 1 && shape_matches(g, cache);
+               cache.buf_arc_begin.size() == nbuf + 1 && shape_matches(g, bufs, cache);
   bool any_recost = false;   // some task's durations moved (L payloads)
   bool any_content = false;  // some buffer's marking/q/rates moved
   if (patch) {
@@ -520,7 +550,7 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
     cache.buf_touched.assign(nbuf, 0);
     std::size_t rate_off = 0;
     for (std::size_t bid = 0; bid < nbuf; ++bid) {
-      const Buffer& b = g.buffers()[bid];
+      const Buffer& b = bufs[bid];
       const bool content_moved = !buffer_content_matches(cache, b, bid, rv, rate_off);
       any_content |= content_moved;
       if (content_moved || cache.task_touched[static_cast<std::size_t>(b.src)] != 0 ||
@@ -537,7 +567,7 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
       // and refresh the duration snapshot. No buffer is re-enumerated and
       // nothing is allocated.
       for (std::size_t bid = 0; bid < nbuf; ++bid) {
-        const Buffer& b = g.buffers()[bid];
+        const Buffer& b = bufs[bid];
         if (cache.task_recost[static_cast<std::size_t>(b.src)] == 0) continue;
         recost_span(g, cg, b.src, cache.buf_arc_begin[bid], cache.buf_arc_begin[bid + 1]);
       }
@@ -565,13 +595,13 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
     init_constraint_nodes(g, rv, k, cg);
     cache.buf_arc_begin.resize(nbuf + 1);
     EmitState st(poll);
-    for (BufferId bid = 0; bid < g.buffer_count(); ++bid) {
-      cache.buf_arc_begin[static_cast<std::size_t>(bid)] = cg.graph.arc_count();
-      if (!emit_buffer_arcs(g, rv, g.buffer(bid), k, cg, st)) return false;
+    for (std::size_t bid = 0; bid < nbuf; ++bid) {
+      cache.buf_arc_begin[bid] = cg.graph.arc_count();
+      if (!emit_buffer_arcs(g, rv, bufs[bid], k, cg, st)) return false;
     }
     cache.buf_arc_begin[nbuf] = cg.graph.arc_count();
     cg.graph.graph().finalize();
-    snapshot_model(g, rv, cache);
+    snapshot_model(g, bufs, rv, cache);
     cache.valid = true;
     ++cache.rebuilt_rounds;
     cache.last_regenerated_buffers = static_cast<i64>(nbuf);
@@ -594,11 +624,11 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
   cache.scratch_arc_begin.resize(nbuf + 1);
   i64 regenerated = 0;
   EmitState st(poll);
-  for (BufferId bid = 0; bid < g.buffer_count(); ++bid) {
-    const Buffer& b = g.buffer(bid);
+  for (std::size_t bid = 0; bid < nbuf; ++bid) {
+    const Buffer& b = bufs[bid];
     const std::int32_t lo = scratch.graph.arc_count();
-    cache.scratch_arc_begin[static_cast<std::size_t>(bid)] = lo;
-    if (cache.buf_touched[static_cast<std::size_t>(bid)] != 0) {
+    cache.scratch_arc_begin[bid] = lo;
+    if (cache.buf_touched[bid] != 0) {
       ++regenerated;
       if (!emit_buffer_arcs(g, rv, b, k, scratch, st)) {
         // cg still holds the previous round's intact graph, but it does not
@@ -608,8 +638,7 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
       }
     } else {
       scratch.graph.append_arcs_shifted(
-          cg.graph, cache.buf_arc_begin[static_cast<std::size_t>(bid)],
-          cache.buf_arc_begin[static_cast<std::size_t>(bid) + 1],
+          cg.graph, cache.buf_arc_begin[bid], cache.buf_arc_begin[bid + 1],
           cache.node_delta[static_cast<std::size_t>(b.src)],
           cache.node_delta[static_cast<std::size_t>(b.dst)]);
       if (cache.task_recost[static_cast<std::size_t>(b.src)] != 0) {
@@ -628,7 +657,7 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
   cache.in_stale.assign(ntasks, 0);
   for (std::size_t bid = 0; bid < nbuf; ++bid) {
     if (cache.buf_touched[bid] == 0) continue;
-    const Buffer& b = g.buffers()[bid];
+    const Buffer& b = bufs[bid];
     cache.out_stale[static_cast<std::size_t>(b.src)] = 1;
     cache.in_stale[static_cast<std::size_t>(b.dst)] = 1;
   }
@@ -653,7 +682,7 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
   cache.out_recount.clear();
   cache.in_recount.clear();
   for (std::size_t bid = 0; bid < nbuf; ++bid) {
-    const Buffer& b = g.buffers()[bid];
+    const Buffer& b = bufs[bid];
     const CsrArcRange span{cache.scratch_arc_begin[bid], cache.scratch_arc_begin[bid + 1]};
     if (cache.out_stale[static_cast<std::size_t>(b.src)] != 0) {
       if (!cache.out_recount.empty() && cache.out_recount.back().hi == span.lo) {
@@ -681,16 +710,16 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
   // Refresh only the snapshot pieces the diff saw move: a pure-K round
   // (the K-Iter common case) proved the whole snapshot still current.
   if (any_recost) snapshot_durations(g, cache);
-  if (any_content) snapshot_buffers(g, rv, cache);
+  if (any_content) snapshot_buffers(bufs, rv, cache);
   ++cache.patched_rounds;
   cache.last_regenerated_buffers = regenerated;
   return true;
 }
 
 ConstraintGraph build_constraint_graph(const CsdfGraph& g, const RepetitionVector& rv,
-                                       const std::vector<i64>& k) {
+                                       const std::vector<i64>& k, std::span<const Buffer> extra) {
   ConstraintGraph cg;
-  (void)build_constraint_graph_into(g, rv, k, cg);
+  (void)build_constraint_graph_into(g, rv, k, cg, nullptr, extra);
   return cg;
 }
 

@@ -29,6 +29,19 @@
 // strides — per-buffer cost O(rows · φ(t') + useful constraints) instead of
 // O(rows · cols). build_constraint_graph_reference keeps the brute-force
 // scan for equivalence testing; both produce the identical arc multiset.
+//
+// Extra buffers: the generator functions below take a trailing
+// `extra` span of buffers between tasks of g that g itself does not hold,
+// each formed as CsdfGraph::add_buffer would form it (rate vectors sized by
+// the endpoints' phase counts, totals and cumulative sums filled in).
+// Their ids continue after g's own (g.buffer_count() + i for extra[i]),
+// and every per-buffer step — emission, the content snapshot, the shape
+// check, the diff, the splice, the CSR recount and the pricing — walks
+// g's buffers and then `extra`. A build of (g, extra) is therefore arc for
+// arc, id for id, the build of a graph holding g's buffers followed by
+// these. The service passes the serialization self-loops this way
+// (model/transform.hpp, serialization_buffers_into), so K-Iter never
+// copies a graph to serialize it.
 #pragma once
 
 #include <cstdint>
@@ -132,8 +145,9 @@ struct ConstraintGraphCache {
   /// to diff against).
   bool valid = false;
 
-  /// buffer_count + 1 entries: buffer b's arcs occupy ids
-  /// [buf_arc_begin[b], buf_arc_begin[b+1]) of the companion graph.
+  /// One entry per buffer (g's own, then the extra ones) plus one: buffer
+  /// b's arcs occupy ids [buf_arc_begin[b], buf_arc_begin[b+1]) of the
+  /// companion graph.
   std::vector<std::int32_t> buf_arc_begin;
 
   /// Content snapshot of the source model (see the class comment):
@@ -170,7 +184,7 @@ struct ConstraintGraphCache {
   i64 payload_rounds = 0;   ///< pure execution-time patches on the live graph
 
   /// Buffers re-enumerated through the stride generator by the most recent
-  /// build (buffer_count on a rebuild; 0 on a pure payload patch).
+  /// build (every buffer on a rebuild; 0 on a pure payload patch).
   i64 last_regenerated_buffers = 0;
 
   void invalidate() noexcept { valid = false; }
@@ -190,10 +204,13 @@ struct ConstraintGraphCache {
 void append_content_snapshot(const CsdfGraph& g, std::vector<i64>& words);
 
 /// Builds the constraint graph for periodicity vector `k` (one entry per
-/// task, each >= 1). `rv` must be the repetition vector of `g` (consistent).
+/// task, each >= 1) over g's buffers followed by `extra` (see the header
+/// comment). `rv` must be the repetition vector of `g` (consistent), and
+/// of g plus `extra`.
 [[nodiscard]] ConstraintGraph build_constraint_graph(const CsdfGraph& g,
                                                      const RepetitionVector& rv,
-                                                     const std::vector<i64>& k);
+                                                     const std::vector<i64>& k,
+                                                     std::span<const Buffer> extra = {});
 
 /// Storage-reusing variant: rebuilds `out` in place, keeping the capacity of
 /// every internal vector. After a warming build, rebuilding a graph of no
@@ -202,7 +219,8 @@ void append_content_snapshot(const CsdfGraph& g, std::vector<i64>& words);
 /// must not be solved.
 bool build_constraint_graph_into(const CsdfGraph& g, const RepetitionVector& rv,
                                  const std::vector<i64>& k, ConstraintGraph& out,
-                                 const ConstraintPoll* poll = nullptr);
+                                 const ConstraintPoll* poll = nullptr,
+                                 std::span<const Buffer> extra = {});
 
 /// Incremental build: produces in `out` a graph arc-for-arc identical (same
 /// node ids, same arc ids, same payloads) to build_constraint_graph_into(g,
@@ -224,11 +242,13 @@ bool build_constraint_graph_into(const CsdfGraph& g, const RepetitionVector& rv,
 bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVector& rv,
                                         const std::vector<i64>& k, ConstraintGraph& out,
                                         ConstraintGraphCache& cache,
-                                        const ConstraintPoll* poll = nullptr);
+                                        const ConstraintPoll* poll = nullptr,
+                                        std::span<const Buffer> extra = {});
 
 /// Brute-force O(rows·cols) reference generator (the pre-stride scan), kept
 /// for the equivalence tests and the bench_hotpath comparison. Produces the
-/// same arc multiset as build_constraint_graph.
+/// same arc multiset as build_constraint_graph. It takes no extra buffers:
+/// compare it against a graph that holds them (add_serialization_buffers).
 [[nodiscard]] ConstraintGraph build_constraint_graph_reference(const CsdfGraph& g,
                                                                const RepetitionVector& rv,
                                                                const std::vector<i64>& k);
@@ -241,7 +261,8 @@ void build_constraint_graph_reference_into(const CsdfGraph& g, const RepetitionV
 /// Number of (p̃, p̃') pairs the brute-force generator would enumerate for
 /// `k` — the candidate-space estimate used to refuse absurdly large
 /// requests up front.
-[[nodiscard]] i128 constraint_pair_count(const CsdfGraph& g, const std::vector<i64>& k);
+[[nodiscard]] i128 constraint_pair_count(const CsdfGraph& g, const std::vector<i64>& k,
+                                         std::span<const Buffer> extra = {});
 
 /// Upper bound (within a small constant) on the stride generator's work for
 /// `k`: the O(rows·φ(t')) base scan plus a per-(row, consumer-phase) bound
@@ -250,7 +271,8 @@ void build_constraint_graph_reference_into(const CsdfGraph& g, const RepetitionV
 /// constraint_pair_count — the resource guard takes the cheaper of the two
 /// so the stride path's reach is not capped by the retired brute-force cost
 /// model, while staying sound against congruence-aligned worst cases.
-[[nodiscard]] i128 constraint_work_estimate(const CsdfGraph& g, const std::vector<i64>& k);
+[[nodiscard]] i128 constraint_work_estimate(const CsdfGraph& g, const std::vector<i64>& k,
+                                            std::span<const Buffer> extra = {});
 
 /// Prices the round that patches the cached graph (currently encoding
 /// `k_from`) into (g, k): buffers whose content fingerprint changed at the
@@ -263,6 +285,7 @@ void build_constraint_graph_reference_into(const CsdfGraph& g, const RepetitionV
 [[nodiscard]] i128 constraint_patch_work_estimate(const CsdfGraph& g, const RepetitionVector& rv,
                                                   const std::vector<i64>& k_from,
                                                   const std::vector<i64>& k,
-                                                  const ConstraintGraphCache& cache);
+                                                  const ConstraintGraphCache& cache,
+                                                  std::span<const Buffer> extra = {});
 
 }  // namespace kp

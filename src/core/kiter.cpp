@@ -60,7 +60,8 @@ bool update_k(std::vector<i64>& k, const RepetitionVector& rv,
 }  // namespace
 
 KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
-                             const KIterOptions& options, KIterWorkspace& ws) {
+                             const KIterOptions& options, KIterWorkspace& ws,
+                             std::span<const Buffer> extra) {
   if (!rv.consistent) throw ModelError("kiter: graph is not consistent: " + rv.failure_reason);
   KIterResult result;
   Stopwatch clock;
@@ -131,7 +132,7 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
     KEvalOptions eval_options;
     eval_options.mcrp = options.mcrp;
     eval_options.want_schedule = true;
-    return evaluate_k_periodic(g, rv, for_k, eval_options).schedule;
+    return evaluate_k_periodic(g, rv, for_k, eval_options, extra).schedule;
   };
 
   // `rounds_done` is always the number of COMPLETED rounds: an abort mid
@@ -166,12 +167,13 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
     // pair count, stride-generator work estimate, and — when the previous
     // round's graph is cached — the cost of patching it, which on rounds
     // whose critical circuit touched few tasks is far below a full build.
-    i128 cost = std::min(constraint_pair_count(g, k), constraint_work_estimate(g, k));
+    i128 cost =
+        std::min(constraint_pair_count(g, k, extra), constraint_work_estimate(g, k, extra));
     if (options.incremental && ws.cache.valid) {
       // Only a warm cache changes the price; the cold fallback inside the
       // patch estimate would just recompute the full estimate above.
-      cost = std::min(cost,
-                      constraint_patch_work_estimate(g, rv, ws.constraints.k, k, ws.cache));
+      cost = std::min(cost, constraint_patch_work_estimate(g, rv, ws.constraints.k, k, ws.cache,
+                                                           extra));
     }
     if (cost > options.max_constraint_pairs || out_of_budget()) {
       return finish_resource_limit(round);
@@ -181,8 +183,8 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
     const ConstraintPoll* poll = want_poll ? &round_poll : nullptr;
     const KEvalStatus status =
         options.incremental
-            ? evaluate_k_periodic_round_incremental(g, rv, k, options.mcrp, ws, poll)
-            : evaluate_k_periodic_round(g, rv, k, options.mcrp, ws, poll);
+            ? evaluate_k_periodic_round_incremental(g, rv, k, options.mcrp, ws, poll, extra)
+            : evaluate_k_periodic_round(g, rv, k, options.mcrp, ws, poll, extra);
     if (status == KEvalStatus::Aborted) return finish_resource_limit(round);
     result.rounds = round + 1;
     result.mcrp_iterations += ws.solved.iterations;

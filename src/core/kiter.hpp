@@ -26,6 +26,7 @@
 // and is meant for diagnostics, not the hot path.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -181,9 +182,15 @@ struct KIterResult {
 
 /// Workspace-reusing variant for batch analysis: every round runs inside
 /// `ws` without allocating once warm (see the header comment). One
-/// workspace may serve any number of consecutive analyses.
+/// workspace may serve any number of consecutive analyses. `extra` buffers
+/// join g's own in every round, in the resource guard's pricing and in the
+/// schedule re-evaluation of a structural ResourceLimit exit — the run is
+/// that of a graph holding g's buffers followed by `extra`
+/// (core/constraints.hpp). The service passes the serialization self-loops
+/// this way instead of copying the graph.
 [[nodiscard]] KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
-                                           const KIterOptions& options, KIterWorkspace& ws);
+                                           const KIterOptions& options, KIterWorkspace& ws,
+                                           std::span<const Buffer> extra = {});
 
 /// Convenience: computes the repetition vector internally (throws
 /// ModelError if the graph is inconsistent).

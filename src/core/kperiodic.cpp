@@ -25,12 +25,13 @@ KEvalStatus solve_round(const McrpOptions& mcrp, KIterWorkspace& ws) {
 
 KEvalStatus evaluate_k_periodic_round(const CsdfGraph& g, const RepetitionVector& rv,
                                       const std::vector<i64>& k, const McrpOptions& mcrp,
-                                      KIterWorkspace& ws, const ConstraintPoll* poll) {
+                                      KIterWorkspace& ws, const ConstraintPoll* poll,
+                                      std::span<const Buffer> extra) {
   // This build bypasses the span bookkeeping, so the incremental cache no
   // longer describes ws.constraints.
   ws.cache.invalidate();
   const Stopwatch build_clock;
-  const bool built = build_constraint_graph_into(g, rv, k, ws.constraints, poll);
+  const bool built = build_constraint_graph_into(g, rv, k, ws.constraints, poll, extra);
   ws.round_build_ms += build_clock.elapsed_ms();
   if (!built) return KEvalStatus::Aborted;
   return solve_round(mcrp, ws);
@@ -39,9 +40,11 @@ KEvalStatus evaluate_k_periodic_round(const CsdfGraph& g, const RepetitionVector
 KEvalStatus evaluate_k_periodic_round_incremental(const CsdfGraph& g, const RepetitionVector& rv,
                                                   const std::vector<i64>& k,
                                                   const McrpOptions& mcrp, KIterWorkspace& ws,
-                                                  const ConstraintPoll* poll) {
+                                                  const ConstraintPoll* poll,
+                                                  std::span<const Buffer> extra) {
   const Stopwatch build_clock;
-  const bool built = build_constraint_graph_incremental(g, rv, k, ws.constraints, ws.cache, poll);
+  const bool built =
+      build_constraint_graph_incremental(g, rv, k, ws.constraints, ws.cache, poll, extra);
   ws.round_build_ms += build_clock.elapsed_ms();
   if (!built) return KEvalStatus::Aborted;
   return solve_round(mcrp, ws);
@@ -72,9 +75,10 @@ KPeriodicSchedule schedule_from_potentials(const CsdfGraph& g, const RepetitionV
 }
 
 KPeriodicResult evaluate_k_periodic(const CsdfGraph& g, const RepetitionVector& rv,
-                                    const std::vector<i64>& k, const KEvalOptions& options) {
+                                    const std::vector<i64>& k, const KEvalOptions& options,
+                                    std::span<const Buffer> extra) {
   KPeriodicResult result;
-  result.constraints = build_constraint_graph(g, rv, k);
+  result.constraints = build_constraint_graph(g, rv, k, extra);
 
   McrpOptions mcrp = options.mcrp;
   mcrp.compute_potentials = options.want_schedule;

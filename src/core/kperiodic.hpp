@@ -8,6 +8,7 @@
 // special case (see periodic_schedule below).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -128,10 +129,12 @@ struct KIterWorkspace {
 /// circuit. The period for a Feasible round is ws.solved.ratio. A non-null
 /// `poll` is forwarded into constraint generation (see ConstraintPoll);
 /// when it fires the round returns Aborted and the workspace holds a
-/// partial graph that must not be read.
+/// partial graph that must not be read. `extra` buffers are generated
+/// after g's own (core/constraints.hpp), as in every function below.
 KEvalStatus evaluate_k_periodic_round(const CsdfGraph& g, const RepetitionVector& rv,
                                       const std::vector<i64>& k, const McrpOptions& mcrp,
-                                      KIterWorkspace& ws, const ConstraintPoll* poll = nullptr);
+                                      KIterWorkspace& ws, const ConstraintPoll* poll = nullptr,
+                                      std::span<const Buffer> extra = {});
 
 /// Incremental variant: constraint generation routes through ws.cache
 /// (build_constraint_graph_incremental) — when the cache is warm and only a
@@ -148,7 +151,8 @@ KEvalStatus evaluate_k_periodic_round(const CsdfGraph& g, const RepetitionVector
 KEvalStatus evaluate_k_periodic_round_incremental(const CsdfGraph& g, const RepetitionVector& rv,
                                                   const std::vector<i64>& k,
                                                   const McrpOptions& mcrp, KIterWorkspace& ws,
-                                                  const ConstraintPoll* poll = nullptr);
+                                                  const ConstraintPoll* poll = nullptr,
+                                                  std::span<const Buffer> extra = {});
 
 /// Assembles the complete schedule from already-solved node potentials.
 /// Shared by evaluate_k_periodic and the K-iteration finale (which computes
@@ -159,7 +163,8 @@ KEvalStatus evaluate_k_periodic_round_incremental(const CsdfGraph& g, const Repe
 
 [[nodiscard]] KPeriodicResult evaluate_k_periodic(const CsdfGraph& g, const RepetitionVector& rv,
                                                   const std::vector<i64>& k,
-                                                  const KEvalOptions& options = {});
+                                                  const KEvalOptions& options = {},
+                                                  std::span<const Buffer> extra = {});
 
 /// The 1-periodic baseline [4]: evaluate_k_periodic with K_t = 1 for all t.
 [[nodiscard]] KPeriodicResult periodic_schedule(const CsdfGraph& g, const RepetitionVector& rv,

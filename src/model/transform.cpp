@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace kp {
 
@@ -23,20 +24,39 @@ std::vector<i64> repeat_vector(const std::vector<i64>& v, i64 times) {
 
 }  // namespace
 
-CsdfGraph add_serialization_buffers(const CsdfGraph& g) {
-  CsdfGraph out = copy_tasks(g);
-  for (const Buffer& b : g.buffers()) {
-    out.add_buffer(b.name, b.src, b.dst, b.prod, b.cons, b.initial_tokens);
-  }
+void serialization_buffers_into(const CsdfGraph& g, std::vector<Buffer>& out) {
+  std::size_t n = 0;
   for (TaskId t = 0; t < g.task_count(); ++t) {
     const auto& outs = g.out_buffers(t);
     const bool has_self = std::any_of(outs.begin(), outs.end(), [&](BufferId bid) {
       return g.buffer(bid).is_self_loop();
     });
     if (has_self) continue;
+    if (n == out.size()) out.emplace_back();
+    Buffer& b = out[n++];
     const auto phi = static_cast<std::size_t>(g.phases(t));
-    out.add_buffer("serial:" + g.task(t).name, t, t, std::vector<i64>(phi, 1),
-                   std::vector<i64>(phi, 1), 1);
+    b.name.clear();
+    b.src = t;
+    b.dst = t;
+    b.prod.assign(phi, 1);
+    b.cons.assign(phi, 1);
+    b.initial_tokens = 1;
+    b.total_prod = static_cast<i64>(phi);
+    b.total_cons = static_cast<i64>(phi);
+    b.cum_prod.resize(phi + 1);
+    for (std::size_t p = 0; p <= phi; ++p) b.cum_prod[p] = static_cast<i64>(p);
+    b.cum_cons.assign(b.cum_prod.begin(), b.cum_prod.end());
+  }
+  out.resize(n);
+}
+
+CsdfGraph add_serialization_buffers(const CsdfGraph& g) {
+  CsdfGraph out = g;
+  std::vector<Buffer> loops;
+  serialization_buffers_into(g, loops);
+  for (Buffer& b : loops) {
+    out.add_buffer("serial:" + g.task(b.src).name, b.src, b.dst, std::move(b.prod),
+                   std::move(b.cons), b.initial_tokens);
   }
   return out;
 }

@@ -1,9 +1,12 @@
 // Model-to-model transformations.
 //
-// * add_serialization_buffers — make task iterations non-reentrant by adding
-//   a one-token self-buffer per task (SDF3's "disable auto-concurrency").
-//   All analyses in this library operate on the graph as given; the façade
-//   applies this transform first so every method shares one semantics.
+// * serialization_buffers_into / add_serialization_buffers — make task
+//   iterations non-reentrant by adding a one-token self-buffer per task
+//   (SDF3's "disable auto-concurrency"). All analyses in this library
+//   operate on the graph as given. The façade gives K-Iter these buffers as
+//   extra constraint-generator input (serialization_buffers_into, no graph
+//   copy) and the other methods a serialized copy (add_serialization_buffers),
+//   so every method shares one semantics.
 // * apply_buffer_capacities — model bounded buffers by reverse arcs, the
 //   transformation the paper's "fixed buffer size" rows rely on.
 // * expand_phases — the §3.2 duplication G̃ of the phase vectors (K_t copies
@@ -20,9 +23,18 @@
 
 namespace kp {
 
-/// Returns a copy of g where every task that has no self-buffer gets one
-/// with unit rates on every phase and a single initial token. The resulting
-/// execution semantics: one phase of a task at a time, iterations in order.
+/// Writes into `out` the serialization self-buffers of g: one per task that
+/// has no self-buffer, in ascending task order, each with unit rates on
+/// every phase, totals and cumulative sums filled in, and a single initial
+/// token. Names are left empty. The elements already in `out` are reused,
+/// so refilling the vector for a graph of the same shape allocates
+/// nothing. The resulting execution semantics: one phase of a task at a
+/// time, iterations in order. A unit self-loop leaves the repetition
+/// vector and the consistency verdict of g unchanged.
+void serialization_buffers_into(const CsdfGraph& g, std::vector<Buffer>& out);
+
+/// Returns a copy of g with the buffers of serialization_buffers_into
+/// appended in the same order, named "serial:<task>".
 [[nodiscard]] CsdfGraph add_serialization_buffers(const CsdfGraph& g);
 
 /// Returns a copy of g where buffer i is given capacity `capacities[i]` by
@@ -96,9 +108,10 @@ void apply_delta(CsdfGraph& g, const GraphDelta& d);
 /// Checks that every edit in `d` names a task/buffer id `base` has, with the
 /// same positional error messages apply_delta produces. Cheap (no graph
 /// mutation): the service layer runs this before dispatching a batch so a
-/// bad id is reported against the BASE graph rather than a worker's
-/// serialization-augmented copy. Value/shape validity (vector sizes,
-/// negative values) is still only checked on apply.
+/// bad id is reported up front, against the BASE graph, and never against
+/// the serialization-augmented copy a non-K-Iter batch works on.
+/// Value/shape validity (vector sizes, negative values) is still only
+/// checked on apply.
 void validate_delta_targets(const CsdfGraph& base, const GraphDelta& d);
 
 /// Restores the base values of every field `d` names, turning a variant

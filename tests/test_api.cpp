@@ -1,6 +1,8 @@
 // Tests for the analysis façade (api/analysis.hpp).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "api/analysis.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/random_csdf.hpp"
@@ -84,6 +86,27 @@ TEST(Api, ElapsedAndDetailPopulated) {
   const Analysis a = analyze_throughput(figure2_graph(), Method::KIter);
   EXPECT_GE(a.elapsed_ms, 0.0);
   EXPECT_NE(a.detail.find("rounds="), std::string::npos);
+}
+
+TEST(Api, LongKDetailIsCutAfterSixtyBytesOfK) {
+  // A 14-task ring whose final K is 2 on t1..t13. The K part of `detail`
+  // is cut with ",..." once it alone passes 60 bytes, so t12 is the last
+  // entry shown; the count after it still covers all 13 tasks.
+  CsdfGraph g("ring14");
+  for (int i = 0; i < 14; ++i) {
+    std::string name = "t";
+    name += std::to_string(i);
+    g.add_task(std::move(name), 1 + i % 3);
+  }
+  g.add_buffer("", 0, 1, 2, 1, 0);
+  for (TaskId i = 1; i < 13; ++i) g.add_buffer("", i, i + 1, 1, 1, 0);
+  g.add_buffer("", 13, 0, 1, 2, 2);
+  const Analysis a = analyze_throughput(g, Method::KIter);
+  ASSERT_EQ(a.outcome, Outcome::Value);
+  EXPECT_EQ(a.period, Rational{30});
+  EXPECT_EQ(a.detail,
+            "rounds=2 K={t1:2,t2:2,t3:2,t4:2,t5:2,t6:2,t7:2,t8:2,t9:2,t10:2,t11:2,t12:2,...} "
+            "(13 tasks >1)");
 }
 
 // Cross-method agreement through the façade on random graphs.

@@ -14,6 +14,11 @@
 //      KIterWorkspace contract extends to the ping-pong splice target).
 //   5. KIterResult::rounds counts completed rounds only, identically on
 //      mid-build and mid-patch aborts (== trace.size()).
+//   6. Serialization as generator input: a build of (g, extra) with the
+//      self-loops of serialization_buffers_into(g) is arc for arc the build
+//      of add_serialization_buffers(g), round by round and through
+//      kiter_throughput, with identical pricing and repetition vector —
+//      including graphs where some task already has its own self-loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +33,7 @@
 #include "gen/random_csdf.hpp"
 #include "mcrp/cycle_ratio.hpp"
 #include "model/repetition.hpp"
+#include "model/transform.hpp"
 
 namespace kp {
 namespace {
@@ -260,6 +266,34 @@ TEST(Incremental, WarmPatchedRoundDoesNotAllocate) {
   EXPECT_EQ(sa, KEvalStatus::Feasible);
   EXPECT_EQ(sb, KEvalStatus::Feasible);
   EXPECT_EQ(after - before, 0u) << "a warm patch+solve round must not touch the heap";
+
+  // The same rounds with the serialization self-loop of task a as extra
+  // generator input (b and c have their own): refilling the warm loop
+  // vector and patching over g plus the loop stay off the heap too.
+  std::vector<Buffer> extra;
+  serialization_buffers_into(g, extra);
+  ASSERT_EQ(extra.size(), 1u);
+  KIterWorkspace ws_extra;
+  for (int warm = 0; warm < 2; ++warm) {
+    (void)evaluate_k_periodic_round_incremental(g, rv, ka, mcrp, ws_extra, nullptr, extra);
+    (void)evaluate_k_periodic_round_incremental(g, rv, kb, mcrp, ws_extra, nullptr, extra);
+  }
+  ASSERT_GE(ws_extra.cache.patched_rounds, 3);
+
+  const std::uint64_t before_extra = g_alloc_count.load();
+  serialization_buffers_into(g, extra);
+  const KEvalStatus ea =
+      evaluate_k_periodic_round_incremental(g, rv, ka, mcrp, ws_extra, nullptr, extra);
+  const KEvalStatus eb =
+      evaluate_k_periodic_round_incremental(g, rv, kb, mcrp, ws_extra, nullptr, extra);
+  const std::uint64_t after_extra = g_alloc_count.load();
+
+  EXPECT_EQ(ea, KEvalStatus::Feasible);
+  EXPECT_EQ(eb, KEvalStatus::Feasible);
+  EXPECT_EQ(after_extra - before_extra, 0u)
+      << "a warm patch+solve round with extra buffers must not touch the heap";
+  expect_identical(ws_extra.constraints,
+                   build_constraint_graph(add_serialization_buffers(g), rv, kb), "extra");
 }
 
 // ---- 5. rounds accounting across abort paths (mid-build == mid-patch) ------
@@ -303,6 +337,129 @@ TEST(Incremental, AbortedRoundIsNeverCountedOnEitherPath) {
       EXPECT_LE(r.rounds, complete.rounds);
     }
   }
+}
+
+// ---- 6. serialization self-loops as generator input -------------------------
+
+/// A random graph with tight buffer capacities (so serialized K-Iter runs
+/// take several rounds) where, for odd seeds, one task already carries its
+/// own self-loop (equal prod/cons vectors keep it consistent), which the
+/// serialization rule must skip.
+CsdfGraph random_graph_maybe_self_loop(u64 seed) {
+  Rng rng(seed);
+  CsdfGraph g = random_csdf(rng, small_graphs());
+  if (seed % 2 == 1) {
+    const auto t = static_cast<TaskId>(rng.uniform(0, g.task_count() - 1));
+    std::vector<i64> rates;
+    for (std::int32_t p = 0; p < g.phases(t); ++p) rates.push_back(rng.uniform(1, 3));
+    g.add_buffer("own", t, t, rates, rates, rng.uniform(1, 4));
+  }
+  return apply_default_buffer_capacities(g, 1, 1);
+}
+
+TEST(Incremental, SerializationExtraMatchesSerializedCopyRoundByRound) {
+  KIterWorkspace ws_extra;  // (g, extra) through the incremental engine
+  KIterWorkspace ws_copy;   // the serialized copy, in lockstep
+  std::vector<Buffer> extra;
+  i64 patched = 0;
+  int with_own_loop = 0;
+  int checked = 0;
+  for (u64 seed = 300; checked < 80; ++seed) {
+    const CsdfGraph g = random_graph_maybe_self_loop(seed);
+    const CsdfGraph s = add_serialization_buffers(g);
+    serialization_buffers_into(g, extra);
+    ASSERT_EQ(static_cast<std::size_t>(s.buffer_count()), g.buffer_count() + extra.size());
+    with_own_loop += extra.size() < static_cast<std::size_t>(g.task_count()) ? 1 : 0;
+
+    const RepetitionVector rv = compute_repetition_vector(g);
+    const RepetitionVector rv_copy = compute_repetition_vector(s);
+    ASSERT_TRUE(rv.consistent) << "seed " << seed;
+    ASSERT_TRUE(rv_copy.consistent) << "seed " << seed;
+    EXPECT_EQ(rv.q, rv_copy.q) << "seed " << seed;
+
+    KIterOptions trace_options;
+    trace_options.incremental = false;
+    trace_options.record_trace = true;
+    const KIterResult traced = kiter_throughput(s, rv_copy, trace_options);
+    if (traced.trace.empty()) continue;
+
+    const i64 patched_before = ws_extra.cache.patched_rounds;
+    for (std::size_t round = 0; round < traced.trace.size(); ++round) {
+      const std::vector<i64>& k = traced.trace[round].k;
+      const std::string context =
+          "seed " + std::to_string(seed) + " round " + std::to_string(round);
+
+      EXPECT_EQ(constraint_pair_count(g, k, extra), constraint_pair_count(s, k)) << context;
+      EXPECT_EQ(constraint_work_estimate(g, k, extra), constraint_work_estimate(s, k)) << context;
+      EXPECT_EQ(constraint_patch_work_estimate(g, rv, ws_extra.constraints.k, k, ws_extra.cache,
+                                               extra),
+                constraint_patch_work_estimate(s, rv_copy, ws_copy.constraints.k, k,
+                                               ws_copy.cache))
+          << context;
+
+      const KEvalStatus got =
+          evaluate_k_periodic_round_incremental(g, rv, k, McrpOptions{}, ws_extra, nullptr, extra);
+      const KEvalStatus want =
+          evaluate_k_periodic_round_incremental(s, rv_copy, k, McrpOptions{}, ws_copy);
+      ASSERT_EQ(got, want) << context;
+
+      const ConstraintGraph fresh = build_constraint_graph(s, rv_copy, k);
+      expect_identical(ws_extra.constraints, fresh, context + " incremental");
+      expect_identical(build_constraint_graph(g, rv, k, extra), fresh, context + " full");
+      EXPECT_EQ(ws_extra.solved.status, ws_copy.solved.status) << context;
+      EXPECT_EQ(ws_extra.solved.ratio, ws_copy.solved.ratio) << context;
+      EXPECT_EQ(ws_extra.critical_tasks, ws_copy.critical_tasks) << context;
+    }
+    patched += ws_extra.cache.patched_rounds - patched_before;
+    ++checked;
+  }
+  EXPECT_GT(patched, 0) << "the splice path must run with extra buffers";
+  EXPECT_GT(with_own_loop, 0) << "some task must already carry its own self-loop";
+}
+
+TEST(Incremental, KIterWithSerializationExtraMatchesSerializedCopy) {
+  KIterWorkspace ws_extra;
+  KIterWorkspace ws_copy;
+  std::vector<Buffer> extra;
+  int bound_exits = 0;
+  for (u64 seed = 400; seed < 460; ++seed) {
+    const CsdfGraph g = random_graph_maybe_self_loop(seed);
+    const CsdfGraph s = add_serialization_buffers(g);
+    serialization_buffers_into(g, extra);
+    const RepetitionVector rv = compute_repetition_vector(g);
+    const RepetitionVector rv_copy = compute_repetition_vector(s);
+    ASSERT_TRUE(rv.consistent) << "seed " << seed;
+
+    // A full run, and one cut after the first round: a structural
+    // ResourceLimit exit re-evaluates the best K for its schedule, which
+    // must see the extra buffers too.
+    KIterOptions full;
+    KIterOptions one_round;
+    one_round.max_rounds = 1;
+    one_round.want_schedule = true;
+    for (const KIterOptions* options : {&full, &one_round}) {
+      const std::string context =
+          "seed " + std::to_string(seed) + (options == &full ? " full" : " max_rounds=1");
+      const KIterResult a = kiter_throughput(g, rv, *options, ws_extra, extra);
+      const KIterResult b = kiter_throughput(s, rv_copy, *options, ws_copy);
+      EXPECT_EQ(a.status, b.status) << context;
+      EXPECT_EQ(a.period, b.period) << context;
+      EXPECT_EQ(a.has_feasible_bound, b.has_feasible_bound) << context;
+      EXPECT_EQ(a.k, b.k) << context;
+      EXPECT_EQ(a.rounds, b.rounds) << context;
+      EXPECT_EQ(a.mcrp_iterations, b.mcrp_iterations) << context;
+      EXPECT_EQ(a.howard_iterations, b.howard_iterations) << context;
+      EXPECT_EQ(a.critical_tasks, b.critical_tasks) << context;
+      EXPECT_EQ(a.schedule.starts, b.schedule.starts) << context;
+      EXPECT_EQ(a.schedule.task_periods, b.schedule.task_periods) << context;
+      if (options == &one_round && a.status == ThroughputStatus::ResourceLimit &&
+          a.has_feasible_bound) {
+        ++bound_exits;
+        EXPECT_FALSE(a.schedule.starts.empty()) << context;
+      }
+    }
+  }
+  EXPECT_GT(bound_exits, 0) << "some run must exit on max_rounds with a feasible bound";
 }
 
 // ---- workspace reuse across graphs (cache must re-key) ---------------------

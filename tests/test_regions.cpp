@@ -257,6 +257,7 @@ TEST(Regions, BreakpointBetweenTwoCycles) {
   EXPECT_LE(exact_solve_count(sym), 4);
   // In-region points carry the anchor's cert re-anchored at their sample.
   ASSERT_TRUE(served_symbolically(sym[8]));
+  EXPECT_EQ(sym[8].detail, "symbolic region anchor=6 [6..10] K=1");
   EXPECT_EQ(sym[8].critical_cycle.ratio, sym[8].period);
   EXPECT_EQ(sym[8].critical_cycle.tasks, (std::vector<TaskId>{a}));
 }
@@ -314,6 +315,11 @@ TEST(Regions, SymbolicDeterministicAcrossThreadCounts) {
       EXPECT_EQ(runs[r][i].rounds, runs[0][i].rounds) << ctx;
     }
   }
+  // The full bytes of one region fill, K rendering included.
+  ASSERT_TRUE(served_symbolically(runs[0][7]));
+  EXPECT_EQ(runs[0][7].detail,
+            "symbolic region anchor=1 [1..59] "
+            "K={t1:16,t2:16,t3:16,t4:16,t5:16,t6:16,t7:16} (7 tasks >1)");
 }
 
 TEST(Regions, NonAffineBatchFallsBackPerPoint) {

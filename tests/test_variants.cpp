@@ -23,9 +23,15 @@
 //   8. Degenerate batches: an empty delta list yields an empty result (and
 //      leaves the service healthy), and a warm single-variant batch is
 //      bit-identical to a cold one-shot analysis (batch-start warm reset).
+//   9. A K-Iter batch keeps its serialization self-loops and its q apart
+//      from the per-request scratch: a plain request a pool worker serves
+//      between two variant jobs of one batch changes no variant's result,
+//      and a delta that edits rates gets its own q while the variants
+//      around it keep the base's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -511,6 +517,123 @@ TEST(Variants, EmptyAndSingleVariantBatches) {
   const std::vector<Analysis> after = service.analyze_variants(single);
   ASSERT_EQ(after.size(), 1u);
   expect_same_analysis(after[0], cold, "after empty batch");
+}
+
+// ---- 9. batch state vs per-request scratch; rate deltas and q --------------
+
+TEST(Variants, PlainRequestBetweenVariantJobsKeepsTheBatchSelfLoops) {
+  // One worker, one shard, no result cache: the worker pops its shard LIFO,
+  // so the request the poll hook submits during the first variant job it
+  // takes (variant 7) runs right after that job and before the other seven.
+  ServiceOptions so;
+  so.threads = 1;
+  so.queue_shards = 1;
+  so.result_cache_capacity = 0;
+  ThroughputService service(so);
+
+  // Serialization decides this graph: period 126 with the self-loops,
+  // Unbounded without them.
+  Rng rng(99);
+  RandomCsdfOptions gen = small_graphs();
+  gen.min_tasks = 6;
+  gen.max_tasks = 6;
+  VariantBatch batch;
+  batch.warm_start = false;  // the bit-identity contract is the warm-off one
+  batch.base = random_csdf(rng, gen);
+  batch.deltas = exec_time_sweep(batch.base, 0, std::vector<i64>{1, 2, 3, 4, 5, 6, 7, 8});
+  AnalysisOptions unserialized;
+  unserialized.serialize_tasks = false;
+  ASSERT_EQ(analyze_throughput(batch.base, Method::KIter).period, Rational(126));
+  ASSERT_EQ(analyze_throughput(batch.base, Method::KIter, unserialized).outcome,
+            Outcome::Unbounded);
+
+  // A one-task graph that has its own one-token self-loop: serializing it
+  // adds nothing, so its request leaves the per-request scratch empty.
+  CsdfGraph plain;
+  const TaskId t = plain.add_task("t", 3);
+  plain.add_buffer("own", t, t, 1, 1, 1);
+
+  struct Interleave {
+    ThroughputService* service = nullptr;
+    const CsdfGraph* plain = nullptr;
+    std::atomic<bool> submitted{false};
+    i64 ticket = -1;
+
+    static bool hook(void* ctx) {
+      auto& self = *static_cast<Interleave*>(ctx);
+      if (!self.submitted.exchange(true)) {
+        AnalysisRequest request;
+        request.graph = *self.plain;
+        self.ticket = self.service->submit(std::move(request));
+      }
+      return false;
+    }
+  } interleave;
+  interleave.service = &service;
+  interleave.plain = &plain;
+  batch.options.kiter.poll = &Interleave::hook;
+  batch.options.kiter.poll_ctx = &interleave;
+
+  const std::vector<Analysis> got = service.analyze_variants(batch);
+  ASSERT_TRUE(interleave.submitted.load());
+  ASSERT_EQ(got.size(), batch.deltas.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Analysis cold = analyze_throughput(make_variant(batch.base, batch.deltas[i]),
+                                             Method::KIter);
+    expect_same_analysis(got[i], cold, "variant " + std::to_string(i));
+  }
+  const Analysis between = service.wait(interleave.ticket);
+  ASSERT_EQ(between.outcome, Outcome::Value);
+  EXPECT_EQ(between.period, Rational(3));
+}
+
+TEST(Variants, RateDeltasGetTheirOwnRepetitionVector) {
+  // The two-task cycle of RvChangingRateDeltaFallsBackToFullRebuild: the
+  // rate delta moves q_b from 3 to 4. Solving it with the base's q gives 9
+  // where 12 is right, and solving the next rate-free variant with the rate
+  // variant's q gives 12 where 9 is right.
+  CsdfGraph base;
+  const TaskId a = base.add_task("a", std::vector<i64>{2, 1});
+  const TaskId b = base.add_task("b", 3);
+  base.add_buffer("ab", a, b, std::vector<i64>{2, 1}, std::vector<i64>{1}, 4);
+  base.add_buffer("ba", b, a, std::vector<i64>{1}, std::vector<i64>{1, 2}, 4);
+
+  GraphDelta exec_b;
+  exec_b.exec_times.push_back({b, {5}});
+  GraphDelta rates;
+  rates.rates.push_back({0, {2, 2}, {1}});
+  rates.rates.push_back({1, {1}, {2, 2}});
+  GraphDelta exec_a;
+  exec_a.exec_times.push_back({a, {4, 1}});
+  GraphDelta marking;
+  marking.markings.push_back({1, 6});
+
+  VariantBatch batch;
+  batch.base = base;
+  batch.deltas = {exec_b, rates, exec_a, rates, marking, exec_b};
+  const std::vector<i64> periods{15, 12, 9, 12, 9, 15};
+  std::vector<Analysis> cold;
+  for (std::size_t i = 0; i < batch.deltas.size(); ++i) {
+    cold.push_back(analyze_throughput(make_variant(base, batch.deltas[i]), Method::KIter));
+    ASSERT_EQ(cold[i].period, Rational(periods[i])) << "cold variant " << i;
+  }
+
+  for (const bool warm : {false, true}) {
+    batch.warm_start = warm;
+    for (const int threads : {0, 1, 2}) {
+      ThroughputService service(ServiceOptions{threads});
+      const std::vector<Analysis> got = service.analyze_variants(batch);
+      ASSERT_EQ(got.size(), cold.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        const std::string context = std::string(warm ? "warm" : "cold") + " sweep, " +
+                                    std::to_string(threads) + " threads, variant " +
+                                    std::to_string(i);
+        EXPECT_EQ(got[i].outcome, Outcome::Value) << context;
+        EXPECT_EQ(got[i].period, Rational(periods[i])) << context;
+        if (!warm) expect_same_analysis(got[i], cold[i], context);
+      }
+    }
+  }
 }
 
 }  // namespace
