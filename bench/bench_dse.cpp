@@ -17,8 +17,9 @@
 // ThroughputService::analyze_variants with one warm inline worker vs
 // analyze_throughput on a cold make_variant copy per point. The warm path
 // runs with VariantBatch::warm_start (the default): each variant is seeded
-// with the previous one's final K and Howard resumes from its previous
-// policy, so a warm variant is typically one payload-patched round. Values
+// with the previous one's final K and each MCRP solve with the previous
+// solve's critical circuit, so a warm variant is typically one
+// payload-patched round whose solve confirms the seed. Values
 // (outcome/quality/period/throughput) must match the cold run exactly;
 // trajectory metadata (rounds, final K in `detail`) may differ — that is
 // the warm-start contract. Per-phase breakdown (constraint build vs MCRP

@@ -6,8 +6,8 @@
 // reachable and on a cycle), each mode retiming ONE mid-chain actor of the
 // chain — the exact shape the cross-variant constraint cache is built for:
 // per state the warm path patches 3 buffers' worth of L payloads instead of
-// regenerating the whole constraint graph, and the K-iteration / Howard
-// warm starts carry across states. The combine step (reachability + exact
+// regenerating the whole constraint graph, and the K-iteration / MCRP
+// circuit-seed warm starts carry across states. The combine step (reachability + exact
 // max-cycle-ratio over the FSM) is identical in both paths, so the measured
 // gap is the per-state analysis engine, end to end.
 //

@@ -24,10 +24,11 @@
 #
 # Gate 1d (bench_dse, same run): with cross-variant solver warm-starts on
 # (VariantBatch::warm_start seeds each variant's K from the previous one and
-# resumes Howard's policy), the end-to-end warm sweep must beat the cold
-# per-variant sweep by at least 2x per variant (container-safe floor; the
-# target on a quiet box is >= 5x), AND the per-phase breakdown must show the
-# MCRP solve time actually reduced — not shifted into build or overhead.
+# each MCRP solve from the previous critical circuit), the end-to-end warm
+# sweep must beat the cold per-variant sweep by at least 2x per variant
+# (container-safe floor; the target on a quiet box is >= 5x), AND the
+# per-phase breakdown must show the MCRP solve time actually reduced — not
+# shifted into build or overhead.
 # Within-run ratio, machine-relative.
 #
 # Gate 1e (bench_scenario): on the 48-mode ring FSM over the gcd chain, the

@@ -74,13 +74,12 @@ struct Analysis {
   // Solver-effort observability (KIter and Periodic fill these; other
   // methods leave zeros). `rounds` counts completed K-iteration rounds —
   // warm-started variants typically report 1 where a cold run reports
-  // several; the values above are identical either way. The iteration
-  // counts sum MCRP candidate-circuit improvements and Howard policy steps
-  // across all rounds; build/solve split the round wall-clock into
-  // constraint generation vs MCRP solve.
+  // several; the values above are identical either way. mcrp_iterations
+  // sums MCRP candidate-circuit improvements across all rounds;
+  // build/solve split the round wall-clock into constraint generation vs
+  // MCRP solve.
   int rounds = 0;
   i64 mcrp_iterations = 0;
-  i64 howard_iterations = 0;
   double build_ms = 0.0;
   double solve_ms = 0.0;
 

@@ -55,17 +55,20 @@ double tighten_budget(double budget_ms, double deadline_ms) {
 
 /// True when the request's outcome is a pure function of its content: no
 /// wall-clock budget anywhere (deadline, engine time budget), no
-/// cancellation, no caller poll hook, no externally-supplied K seed.
-/// Structural budgets (max_constraint_pairs, max_rounds, max_states,
-/// expansion caps) ARE deterministic and stay cacheable — a Budget outcome
-/// under a structural cap reproduces exactly, so memoizing it is sound.
+/// cancellation, no caller poll hook, no externally-supplied K seed, and no
+/// MCRP warm start — a warm K-Iter solve seeds from whatever circuit the
+/// worker's scratch solved last, so its critical circuit, final K and
+/// `detail` depend on the worker's history. Structural budgets
+/// (max_constraint_pairs, max_rounds, max_states, expansion caps) ARE
+/// deterministic and stay cacheable — a Budget outcome under a structural
+/// cap reproduces exactly, so memoizing it is sound.
 bool cacheable_request(Method method, const AnalysisOptions& o, double deadline_ms,
                        const CancelToken& cancel) {
   if (deadline_ms >= 0.0 || cancel.cancellable()) return false;
   switch (method) {
     case Method::KIter:
       return o.kiter.poll == nullptr && o.kiter.time_budget_ms < 0 &&
-             o.kiter.initial_k == nullptr;
+             o.kiter.initial_k == nullptr && !o.kiter.mcrp.howard_warm_start;
     case Method::Periodic:
       return true;
     case Method::SymbolicExecution:
@@ -79,13 +82,13 @@ bool cacheable_request(Method method, const AnalysisOptions& o, double deadline_
 /// Every option that can influence a cacheable request's result, flattened
 /// into key words. Options that only shape wall-clock behavior (poll
 /// strides, time budgets) are excluded — cacheable_request already rejects
-/// requests where they could matter.
+/// requests where they could matter — and so is the MCRP warm start, which
+/// a cacheable K-Iter request never sets and a Periodic one never uses
+/// (each solves on a fresh scratch).
 void append_options_words(Method method, const AnalysisOptions& o, std::vector<i64>& w) {
   w.push_back(static_cast<i64>(method));
   w.push_back(o.serialize_tasks ? 1 : 0);
   const auto push_mcrp = [&w](const McrpOptions& m) {
-    w.push_back(m.accelerate_with_double ? 1 : 0);
-    w.push_back(m.howard_warm_start ? 1 : 0);
     w.push_back(m.compute_potentials ? 1 : 0);
     w.push_back(m.max_iterations);
   };
@@ -171,7 +174,6 @@ Analysis run_kiter(const CsdfGraph& g, const RepetitionVector& rv, std::span<con
   append_k(a.detail, r.k);
   a.rounds = r.rounds;
   a.mcrp_iterations = r.mcrp_iterations;
-  a.howard_iterations = r.howard_iterations;
   a.build_ms = r.build_ms;
   a.solve_ms = r.solve_ms;
   switch (r.status) {
@@ -208,9 +210,8 @@ Analysis run_kiter(const CsdfGraph& g, const RepetitionVector& rv, std::span<con
   }
   // Warm-state lifecycle: only a completed Optimal run leaves a seed worth
   // reusing. Any other exit — Deadlock, Unbounded, budget, cancellation —
-  // is a hard warm-state boundary: drop the K seed AND force the next
-  // Howard solve cold, so a sweep's results after a fallback variant are
-  // bit-identical to a cold sweep's.
+  // is a hard warm-state boundary: drop the K seed AND force the next MCRP
+  // solve cold (no reused core, no circuit seed).
   if (warm_k != nullptr) {
     if (r.status == ThroughputStatus::Optimal) {
       *warm_k = std::move(r.k);

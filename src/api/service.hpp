@@ -230,17 +230,20 @@ struct VariantBatch {
 
   /// Warm-start the solvers across the batch's variants (KIter only): each
   /// worker seeds every variant's periodicity vector with the final K of
-  /// the previous variant it solved (KIterOptions::initial_k) and lets
-  /// Howard's policy iteration resume from its previous policy when the
-  /// constraint graph was payload-patched in place (McrpOptions::
-  /// howard_warm_start). Values — throughput, period, Deadlock/Unbounded
-  /// classification — are identical to a cold sweep; only the trajectory
-  /// metadata (Analysis::rounds, the final K in `detail`, iteration counts)
-  /// may differ, which is why this is a batch-level switch: turn it off to
-  /// get PR 4's bit-identical-to-cold detail strings back. Warm state is
-  /// per worker and resets at batch start and after any fallback (base
-  /// re-materialization, rate-changing delta, Deadlock/Unbounded/budget
-  /// outcome), so sweep order never leaks across those boundaries.
+  /// the previous variant it solved (KIterOptions::initial_k), and every
+  /// MCRP solve seeds λ with the previous solve's critical circuit whenever
+  /// its arc ids still form a simple circuit of the new constraint graph
+  /// (McrpOptions::howard_warm_start, which also keeps the solver's cyclic
+  /// core when the graph was payload-patched in place). Values — throughput,
+  /// period, Deadlock/Unbounded classification — are identical to a cold
+  /// sweep; only the trajectory metadata (Analysis::rounds, the final K in
+  /// `detail`, iteration counts) may differ, which is why this is a
+  /// batch-level switch: turn it off to get detail strings bit-identical to
+  /// cold per-variant analyses. Warm state is per worker and resets at
+  /// batch start and after any fallback (base re-materialization,
+  /// rate-changing delta, Deadlock/Unbounded/budget outcome): the next
+  /// variant starts from K = 1 with an unseeded first solve, so sweep order
+  /// never leaks across those boundaries.
   bool warm_start = true;
 
   /// Symbolic-region mode (KIter only). When the batch's deltas form an

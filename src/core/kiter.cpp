@@ -188,7 +188,6 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
     if (status == KEvalStatus::Aborted) return finish_resource_limit(round);
     result.rounds = round + 1;
     result.mcrp_iterations += ws.solved.iterations;
-    result.howard_iterations += ws.solved.howard_iterations;
 
     if (options.record_trace) {
       KIterRound r;

@@ -159,12 +159,13 @@ struct KIterResult {
   std::vector<KIterRound> trace;
 
   /// Solver-effort observability over the completed rounds: candidate-
-  /// circuit improvements (exact + accelerated) and Howard policy-iteration
-  /// steps summed across all MCRP solves, plus wall-clock split into
-  /// constraint generation (build or patch) vs MCRP solve. Time not in
-  /// either bucket is round overhead (optimality test, K update, schedule
-  /// extraction). Warm-started runs show these collapse.
+  /// circuit improvements summed across all MCRP solves, plus wall-clock
+  /// split into constraint generation (build or patch) vs MCRP solve. Time
+  /// not in either bucket is round overhead (optimality test, K update,
+  /// schedule extraction). Warm-started runs show these collapse.
   i64 mcrp_iterations = 0;
+  /// Always 0: the solver has no policy-iteration pre-pass. Kept declared
+  /// for the end-to-end benchmark's trace, which still reads it.
   i64 howard_iterations = 0;
   double build_ms = 0.0;
   double solve_ms = 0.0;

@@ -2,8 +2,8 @@
 //
 // Builds offsets (n + 1 entries) and ids (one per item) such that the items
 // with key v occupy ids[offsets[v] .. offsets[v+1]), in input order. Used by
-// Digraph's adjacency and by the solver-local core CSRs (howard.cpp,
-// cycle_ratio.cpp). Only assigns into the caller's retained buffers, so warm
+// Digraph's adjacency and by the MCRP solver's cyclic-core CSR
+// (cycle_ratio.cpp). Only assigns into the caller's retained buffers, so warm
 // rebuilds of no larger size perform zero heap allocations. The incremental
 // constraint engine keeps its arc list in buffer-order segments and re-runs
 // a (patched) build after each splice — segmented or freshly generated

@@ -83,8 +83,8 @@ class BivaluedGraph {
   /// execution-time delta touches, and it does not feed the CSR adjacency —
   /// so the incremental engine patches costs on the live graph without
   /// invalidating anything (endpoints and H stay verbatim). The layout
-  /// stamp survives on purpose: a cost rewrite is exactly the change
-  /// Howard's warm start (mcrp/howard.hpp) is allowed to see through.
+  /// stamp survives on purpose: a cost rewrite is exactly the change the
+  /// MCRP solver's structural reuse (mcrp/cycle_ratio.hpp) may see through.
   void set_cost(std::int32_t arc, i64 cost) {
     assert(arc >= 0 && arc < arc_count());
     cost_[static_cast<std::size_t>(arc)] = cost;

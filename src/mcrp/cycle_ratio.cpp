@@ -238,6 +238,25 @@ bool core_reusable(const BivaluedGraph& bg, const McrpScratch& scratch) {
          scratch.warm_arcs == bg.graph().arc_count();
 }
 
+/// True when `arcs`, ids recorded on some earlier graph, form a simple
+/// circuit of `g`: every id in range, each arc ending where the next one
+/// starts, the last closing on the first, and no node visited twice.
+bool is_simple_circuit(const Digraph& g, std::span<const std::int32_t> arcs,
+                       std::vector<std::int8_t>& seen) {
+  if (arcs.empty()) return false;
+  for (const std::int32_t a : arcs) {
+    if (a < 0 || a >= g.arc_count()) return false;
+  }
+  seen.assign(static_cast<std::size_t>(g.node_count()), 0);
+  for (std::size_t i = 0; i < arcs.size(); ++i) {
+    const Digraph::Arc& e = g.arc_unchecked(arcs[i]);
+    const auto src = static_cast<std::size_t>(e.src);
+    if (seen[src] || e.dst != g.arc_unchecked(arcs[(i + 1) % arcs.size()]).src) return false;
+    seen[src] = 1;
+  }
+  return true;
+}
+
 }  // namespace
 
 McrpResult solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options) {
@@ -255,7 +274,6 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   out.potentials.clear();
   out.iterations = 0;
   out.exact_iterations = 0;
-  out.howard_iterations = 0;
 
   bg.graph().finalize();
   const std::span<const i64> costs = bg.costs();
@@ -266,62 +284,38 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   // so a warm solve skips the SCC pass and every derivation. Recorded
   // unconditionally after a cold derivation so a later warm call can reuse
   // it.
-  const bool reuse_core = options.howard_warm_start && core_reusable(bg, scratch);
-  if (!reuse_core) derive_cyclic_core(bg, scratch);
+  const bool warm = options.howard_warm_start;
+  if (!warm || !core_reusable(bg, scratch)) derive_cyclic_core(bg, scratch);
   auto& cyclic = scratch.cyclic;
 
   Rational lambda{0};
   auto& critical = scratch.critical;
-  critical.clear();
 
-  auto exact_cycle_ratio = [&](std::span<const std::int32_t> cycle, i64& cost_out,
-                               Rational& time_out) {
-    cost_out = bg.cycle_cost(cycle);
-    time_out = bg.cycle_time(cycle);
-  };
+  // Seed: the previous solve's critical circuit, if its arc ids still form
+  // a simple circuit of this graph. Its exact ratio is then a lower bound
+  // on λ* (a positive one, or the seed is dropped), and an infeasible seed
+  // is a witness as good as any the loop would find.
+  if (!warm || !is_simple_circuit(bg.graph(), critical, scratch.seen)) critical.clear();
+  if (!critical.empty()) {
+    const i64 lc = bg.cycle_cost(critical);
+    const Rational hc = bg.cycle_time(critical);
+    if (is_infeasible_circuit(lc, hc)) {
+      out.status = McrpStatus::Infeasible;
+      out.critical_cycle.assign(critical.begin(), critical.end());
+      return;
+    }
+    if (hc.sign() > 0 && lc > 0) {
+      lambda = Rational(i128{lc}, 1) / hc;
+    } else {
+      critical.clear();
+    }
+  }
 
   if (!cyclic.empty()) {
-    // ---- accelerated phase: Howard warm start ------------------------------
-    // Double-precision policy iteration usually lands on (or next to) the
-    // critical circuit; its candidate's *exact* ratio seeds λ so the exact
-    // phase typically needs a single confirming pass. Purely best-effort:
-    // any numeric trouble just falls through to the exact phase.
-    if (options.accelerate_with_double) {
-      try {
-        howard_max_ratio(bg, kHowardDefaultMaxIterations, scratch.howard, scratch.howard_result,
-                         options.howard_warm_start);
-        const HowardResult& howard = scratch.howard_result;
-        out.howard_iterations = howard.iterations;
-        if (!howard.cycle.empty()) {
-          i64 lc = 0;
-          Rational hc;
-          exact_cycle_ratio(howard.cycle, lc, hc);
-          if (is_infeasible_circuit(lc, hc)) {
-            out.status = McrpStatus::Infeasible;
-            out.critical_cycle.assign(howard.cycle.begin(), howard.cycle.end());
-            out.iterations = howard.iterations;
-            return;
-          }
-          if (hc.sign() > 0) {
-            Rational candidate = Rational(i128{lc}, 1) / hc;
-            if (candidate > lambda) {
-              lambda = std::move(candidate);
-              critical.assign(howard.cycle.begin(), howard.cycle.end());
-            }
-          }
-          out.iterations += howard.iterations;
-        }
-      } catch (const SolverError&) {
-        // fall through to the exact phase from λ = 0
-      }
-    }
-
-    // ---- exact phase: the result is determined here ------------------------
     for (int iter = 0; iter < options.max_iterations; ++iter) {
       if (!positive_cycle_at(bg, costs, lambda, scratch)) break;
-      i64 lc = 0;
-      Rational hc;
-      exact_cycle_ratio(scratch.bf_cycle, lc, hc);
+      const i64 lc = bg.cycle_cost(scratch.bf_cycle);
+      const Rational hc = bg.cycle_time(scratch.bf_cycle);
       if (is_infeasible_circuit(lc, hc)) {
         out.status = McrpStatus::Infeasible;
         out.critical_cycle.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());

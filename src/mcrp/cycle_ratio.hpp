@@ -23,24 +23,31 @@
 //
 // Termination: every improvement sets λ to the ratio of a distinct
 // elementary circuit and ratios strictly increase, so the loop is finite.
-// A double-precision pre-pass (enabled by default) performs the same
-// improvement with floating-point labels to skip most exact iterations;
-// the exact phase always has the last word, so the result is exact
-// regardless of floating-point behaviour.
+//
+// Warm start (McrpOptions::howard_warm_start): the previous solve's
+// critical circuit, kept in the scratch as arc ids, seeds λ whenever those
+// ids still form a simple circuit of the current graph — whatever changed
+// in between. Its exact ratio is then a valid lower bound, so the loop
+// starts from it and, on neighbouring points of a parametric sweep, often
+// only confirms it. A seed that is an infeasibility witness is returned as
+// one. Under a matching layout stamp the solve also keeps the cyclic core,
+// its CSR and its scaled H. The loop still runs to quiescence, so values
+// are exact either way; only which co-critical circuit is reported (and
+// the iteration counts) can change.
 //
 // The scratch-based overload reuses every internal buffer (SCC state,
-// Howard state, relaxation labels, queues, cycle extraction) and the result
-// object's vectors: warm re-solves on graphs of no larger size perform zero
-// heap allocations. core/kiter.hpp threads one McrpScratch through all
-// rounds of the K-iteration.
+// relaxation labels, queues, cycle extraction) and the result object's
+// vectors: warm re-solves on graphs of no larger size perform zero heap
+// allocations. core/kiter.hpp threads one McrpScratch through all rounds
+// of the K-iteration.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "graph/scc.hpp"
 #include "mcrp/bivalued.hpp"
-#include "mcrp/howard.hpp"
 
 namespace kp {
 
@@ -66,29 +73,24 @@ struct McrpResult {
   /// status != Infeasible and options.compute_potentials.
   std::vector<Rational> potentials;
 
-  /// Number of candidate-circuit improvements (exact + accelerated).
+  /// Candidate-circuit improvements, plus one for an infeasibility witness
+  /// the loop found.
   int iterations = 0;
-  /// Improvements performed with exact arithmetic only.
+  /// Improvements of λ by the exact loop (a seed does not count).
   int exact_iterations = 0;
-  /// Policy-iteration steps spent in the Howard pre-pass (0 when the
-  /// pre-pass is disabled or the graph has no cyclic core). Observability
-  /// for warm starts: a warm re-solve typically reports 1–2 here.
-  int howard_iterations = 0;
 };
 
 struct McrpOptions {
-  /// Run the double-precision improvement pre-pass.
-  bool accelerate_with_double = true;
-  /// Let the solve resume from the scratch's previous structural state when
-  /// the graph's layout stamp matches (BivaluedGraph::layout_stamp — same
-  /// node/arc layout and H payloads, only L costs possibly rewritten via
-  /// set_cost): the Howard pre-pass keeps its policy (see mcrp/howard.hpp)
-  /// and the exact phase keeps its SCC-restricted cyclic core, CSR
-  /// adjacency and scaled H instead of re-deriving them. Values are
-  /// unaffected — the exact improvement loop still runs to quiescence —
-  /// only iteration counts (and possibly which co-critical circuit is
-  /// reported) can change. Off by default; the parametric-sweep service
-  /// turns it on.
+  /// Reuse the cyclic core under a matching stamp and seed from the
+  /// previous circuit. The cyclic core, its CSR adjacency and scaled H are
+  /// kept when the graph's layout stamp matches the scratch's
+  /// (BivaluedGraph::layout_stamp: same node/arc layout and H payloads, L
+  /// possibly rewritten via set_cost). The scratch's previous critical
+  /// circuit seeds λ when its arc ids form a simple circuit of this graph,
+  /// stamp or no stamp. Values are unaffected — the exact improvement loop
+  /// still runs to quiescence — only iteration counts and which co-critical
+  /// circuit is reported can change. Off by default; the parametric-sweep
+  /// service turns it on.
   bool howard_warm_start = false;
   /// Fill McrpResult::potentials.
   bool compute_potentials = true;
@@ -108,8 +110,6 @@ struct McrpScratch {
 
   SccScratch scc;
   SccResult scc_result;
-  HowardScratch howard;
-  HowardResult howard_result;
 
   std::vector<ArcRef> cyclic;
   // Per cyclic arc: T(e) = H(e)·time_scale, where time_scale is the lcm M
@@ -141,22 +141,24 @@ struct McrpScratch {
   std::vector<std::int8_t> queued;
 
   // The circuit the kernel last found (original arc ids, traversal order)
-  // and the exact phase's current critical circuit.
+  // and the current critical circuit: the last one that raised λ, or the
+  // seed. A warm solve reads the previous solve's `critical` as its seed;
+  // `seen` marks its nodes while it is checked.
   std::vector<std::int32_t> bf_cycle;
   std::vector<std::int32_t> critical;
+  std::vector<std::int8_t> seen;
 
-  // Warm-start key for the exact phase's structural state (`cyclic`, its
-  // CSR and scaled H): the layout stamp and sizes of the graph they were
-  // derived from.
-  // 0 = not reusable. Mirrors HowardScratch's key; reset_warm_start()
-  // clears both, forcing the next solve fully cold.
+  // Warm-start key for the structural state (`cyclic`, its CSR and scaled
+  // H): the layout stamp and sizes of the graph they were derived from.
+  // 0 = not reusable.
   std::uint64_t warm_stamp = 0;
   std::int32_t warm_nodes = 0;
   std::int32_t warm_arcs = 0;
 
+  /// Forces the next solve fully cold: no reused core, no seed.
   void reset_warm_start() noexcept {
     warm_stamp = 0;
-    howard.reset_warm_start();
+    critical.clear();
   }
 };
 

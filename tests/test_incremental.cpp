@@ -448,7 +448,6 @@ TEST(Incremental, KIterWithSerializationExtraMatchesSerializedCopy) {
       EXPECT_EQ(a.k, b.k) << context;
       EXPECT_EQ(a.rounds, b.rounds) << context;
       EXPECT_EQ(a.mcrp_iterations, b.mcrp_iterations) << context;
-      EXPECT_EQ(a.howard_iterations, b.howard_iterations) << context;
       EXPECT_EQ(a.critical_tasks, b.critical_tasks) << context;
       EXPECT_EQ(a.schedule.starts, b.schedule.starts) << context;
       EXPECT_EQ(a.schedule.task_periods, b.schedule.task_periods) << context;

@@ -1,6 +1,6 @@
-// Tests for the MCRP solvers: the exact cycle-ratio engine, Howard's
-// policy iteration and Karp's max cycle mean, cross-checked on random
-// instances.
+// Tests for the MCRP solvers: the exact cycle-ratio engine (cold and
+// seeded from a previous critical circuit) and Karp's max cycle mean,
+// cross-checked on random instances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include "core/constraints.hpp"
 #include "io/text_format.hpp"
 #include "mcrp/cycle_ratio.hpp"
-#include "mcrp/howard.hpp"
 #include "mcrp/karp.hpp"
 #include "model/repetition.hpp"
 #include "model/transform.hpp"
@@ -153,25 +152,6 @@ TEST(CycleRatio, CriticalCycleAchievesRatio) {
   }
 }
 
-TEST(CycleRatio, ExactModeMatchesAccelerated) {
-  Rng rng(321);
-  for (int round = 0; round < 10; ++round) {
-    const auto n = static_cast<std::int32_t>(rng.uniform(4, 14));
-    BivaluedGraph g(n);
-    for (i64 i = 0; i < 3 * n; ++i) {
-      g.add_arc(static_cast<std::int32_t>(rng.uniform(0, n - 1)),
-                static_cast<std::int32_t>(rng.uniform(0, n - 1)), rng.uniform(0, 20),
-                Rational(rng.uniform(1, 12), rng.uniform(1, 5)));
-    }
-    McrpOptions pure;
-    pure.accelerate_with_double = false;
-    const McrpResult fast = solve_max_cycle_ratio(g);
-    const McrpResult slow = solve_max_cycle_ratio(g, pure);
-    ASSERT_EQ(fast.status, slow.status);
-    EXPECT_EQ(fast.ratio, slow.ratio);
-  }
-}
-
 // A valid graph on which a path-length cycle rule (a node whose recorded
 // relaxation path reaches n arcs must sit under a parent-pointer cycle)
 // finds none: the lengths were recorded under since-replaced parents, so
@@ -187,9 +167,9 @@ buffer "b" t2 -> t1 prod [12] cons [3] tokens 0
 buffer "c" t0 -> t2 prod [1,0,0] cons [7] tokens 14
 buffer "d" t1 -> t0 prod [14] cons [2,2,4] tokens 62
 )");
-  AnalysisOptions exact_only;
-  exact_only.kiter.mcrp.accelerate_with_double = false;
-  for (const AnalysisOptions& o : {AnalysisOptions{}, exact_only}) {
+  AnalysisOptions warm;
+  warm.kiter.mcrp.howard_warm_start = true;
+  for (const AnalysisOptions& o : {AnalysisOptions{}, warm}) {
     const Analysis a = analyze_throughput(g, Method::KIter, o);
     ASSERT_EQ(a.outcome, Outcome::Value) << a.detail;
     EXPECT_EQ(a.period, Rational{511});
@@ -209,7 +189,7 @@ buffer "d" t1 -> t0 prod [14] cons [2,2,4] tokens 62
 
 // Eight disjoint 2-cycles whose H denominators are distinct primes near
 // 2^20: their lcm (~2^160) does not fit i128, so the exact phase can only
-// run on Rational labels.
+// run on Rational labels — cold, then warm from its own critical circuit.
 TEST(CycleRatio, RationalLabelsWhenTimeScaleOverflows) {
   const std::vector<i64> primes{1048573, 1048571, 1048559, 1048549,
                                 1048517, 1048507, 1048447, 1048433};
@@ -219,53 +199,17 @@ TEST(CycleRatio, RationalLabelsWhenTimeScaleOverflows) {
     g.add_arc(2 * i, 2 * i + 1, i + 1, h);
     g.add_arc(2 * i + 1, 2 * i, 1, h);
   }
-  McrpOptions exact_only;
-  exact_only.accelerate_with_double = false;
-  for (const McrpOptions& o : {McrpOptions{}, exact_only}) {
-    const McrpResult r = solve_max_cycle_ratio(g, o);
+  McrpOptions warm;
+  warm.howard_warm_start = true;
+  McrpScratch scratch;
+  McrpResult r;
+  for (const McrpOptions& o : {McrpOptions{}, warm}) {
+    solve_max_cycle_ratio(g, o, scratch, r);
     ASSERT_EQ(r.status, McrpStatus::Optimal);
     EXPECT_EQ(r.ratio, Rational::of(9435897, 2));  // 9 / (2/1048433)
     std::vector<std::int32_t> arcs = r.critical_cycle;
     std::sort(arcs.begin(), arcs.end());
     EXPECT_EQ(arcs, (std::vector<std::int32_t>{14, 15}));
-  }
-}
-
-TEST(Howard, SelfLoop) {
-  const HowardResult r = howard_max_ratio(single_loop(6, Rational{2}));
-  ASSERT_EQ(r.status, HowardResult::Status::Optimal);
-  EXPECT_NEAR(r.ratio, 3.0, 1e-9);
-}
-
-TEST(Howard, NoCycle) {
-  BivaluedGraph g(2);
-  g.add_arc(0, 1, 1, Rational{1});
-  EXPECT_EQ(howard_max_ratio(g).status, HowardResult::Status::NoCycle);
-}
-
-TEST(Howard, InfeasibleCandidateReported) {
-  BivaluedGraph g(2);
-  g.add_arc(0, 1, 1, Rational{1});
-  g.add_arc(1, 0, 1, Rational{-1});
-  const HowardResult r = howard_max_ratio(g);
-  EXPECT_EQ(r.status, HowardResult::Status::InfeasibleCandidate);
-}
-
-TEST(Howard, AgreesWithExactOnRandomGraphs) {
-  Rng rng(777);
-  for (int round = 0; round < 20; ++round) {
-    const auto n = static_cast<std::int32_t>(rng.uniform(3, 20));
-    BivaluedGraph g(n);
-    for (i64 i = 0; i < 3 * n; ++i) {
-      g.add_arc(static_cast<std::int32_t>(rng.uniform(0, n - 1)),
-                static_cast<std::int32_t>(rng.uniform(0, n - 1)), rng.uniform(0, 15),
-                Rational(rng.uniform(1, 10), 1));
-    }
-    const McrpResult exact = solve_max_cycle_ratio(g);
-    const HowardResult howard = howard_max_ratio(g);
-    ASSERT_EQ(exact.status, McrpStatus::Optimal);
-    ASSERT_EQ(howard.status, HowardResult::Status::Optimal) << "round " << round;
-    EXPECT_NEAR(howard.ratio, exact.ratio.to_double(), 1e-6) << "round " << round;
   }
 }
 
@@ -326,8 +270,10 @@ TEST(Karp, OversizedSccThrows) {
 }
 
 // Cross-check sweep: on unit-time graphs, cycle ratio == cycle mean, so
-// the exact solver, Howard and Karp must agree; and has_positive_cycle
-// must find no positive circuit at the optimum λ* but one just below it.
+// the exact solver and Karp must agree — cold, and warm right after a solve
+// of a cost- and time-perturbed copy, whose critical circuit then seeds λ;
+// and has_positive_cycle must find no positive circuit at the optimum λ*
+// but one just below it.
 class SolverAgreement : public ::testing::TestWithParam<u64> {};
 
 TEST_P(SolverAgreement, RatioEqualsMeanOnUnitTimeGraphs) {
@@ -337,6 +283,8 @@ TEST_P(SolverAgreement, RatioEqualsMeanOnUnitTimeGraphs) {
     Digraph dg(n);
     BivaluedGraph bg(n);
     std::vector<i64> weights;
+    // Same arcs with other costs and times: the warm solve's predecessor.
+    BivaluedGraph perturbed(n);
     const i64 arcs = rng.uniform(n, 4 * n);
     for (i64 i = 0; i < arcs; ++i) {
       const auto s = static_cast<std::int32_t>(rng.uniform(0, n - 1));
@@ -345,15 +293,33 @@ TEST_P(SolverAgreement, RatioEqualsMeanOnUnitTimeGraphs) {
       dg.add_arc(s, d);
       weights.push_back(w);
       bg.add_arc(s, d, w, Rational{1});
+      perturbed.add_arc(s, d, std::max<i64>(0, w + rng.uniform(-10, 10)),
+                        Rational(rng.uniform(1, 6), rng.uniform(1, 3)));
     }
     const KarpResult karp = karp_max_cycle_mean(dg, weights);
     const McrpResult exact = solve_max_cycle_ratio(bg);
+    McrpOptions warm_options;
+    warm_options.howard_warm_start = true;
+    McrpScratch warm_scratch;
+    McrpResult warm;
+    solve_max_cycle_ratio(perturbed, warm_options, warm_scratch, warm);
+    solve_max_cycle_ratio(bg, warm_options, warm_scratch, warm);
+    EXPECT_EQ(warm.status, exact.status) << "round " << round;
+    EXPECT_EQ(warm.ratio, exact.ratio) << "round " << round;
     if (!karp.has_cycle) {
       EXPECT_EQ(exact.status, McrpStatus::NoCycle);
       continue;
     }
     ASSERT_EQ(exact.status, McrpStatus::Optimal);
     EXPECT_EQ(exact.ratio, karp.max_cycle_mean) << "round " << round;
+    EXPECT_EQ(warm.ratio, karp.max_cycle_mean) << "round " << round;
+    if (warm.ratio.sign() > 0) {
+      // The warm critical circuit, seed or not, achieves the ratio.
+      EXPECT_EQ(Rational(i128{bg.cycle_cost(warm.critical_cycle)}, 1) /
+                    bg.cycle_time(warm.critical_cycle),
+                warm.ratio)
+          << "round " << round;
+    }
     // Karp's extracted circuit achieves its reported mean.
     i64 wc = 0;
     for (const auto a : karp.cycle_arcs) wc += weights[static_cast<std::size_t>(a)];

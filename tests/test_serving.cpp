@@ -9,7 +9,8 @@
 //     (the key is snapshotted from the content the service owns);
 //   * a capacity-1 cache evicts strict LRU, deterministically;
 //   * wall-clock-racing requests (deadline, cancel token, poll hook, time
-//     budget) are never cached, in either direction;
+//     budget) and warm-flagged K-Iter requests are never cached, in either
+//     direction;
 //   * analyze_batch stays deterministic across thread counts, shard
 //     layouts and cache on/off, with duplicates mixed in: each distinct
 //     request is solved exactly once per batch (in-batch dedupe);
@@ -224,6 +225,26 @@ TEST(ServingCache, WallClockAndCancellableRequestsAreNeverCached) {
   EXPECT_EQ(s.cache_misses, 0u);
   EXPECT_EQ(s.cache_size, 0u);
   EXPECT_EQ(s.jobs_executed, 5u);
+}
+
+// A warm-flagged K-Iter request seeds its MCRP solves from the circuit its
+// worker solved last, so its critical circuit, final K and detail depend on
+// that worker's history: it is neither cached nor served from the cache.
+TEST(ServingCache, WarmFlaggedKIterRequestsAreNeverCached) {
+  ThroughputService service(ServiceOptions{.threads = 0});
+  const CsdfGraph g = figure2_graph();
+  AnalysisOptions warm;
+  warm.kiter.mcrp.howard_warm_start = true;
+  const Analysis first = service.analyze(g, Method::KIter, warm);
+  const Analysis second = service.analyze(g, Method::KIter, warm);
+  EXPECT_EQ(first.outcome, Outcome::Value);
+  EXPECT_EQ(second.period, first.period);
+
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.cache_hits, 0u);
+  EXPECT_EQ(s.cache_misses, 0u);
+  EXPECT_EQ(s.cache_size, 0u);
+  EXPECT_EQ(s.jobs_executed, 2u);
 }
 
 // ---- determinism across threads, shards and cache setting -------------------

@@ -2,8 +2,11 @@
 // the latency histogram and table rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/hash.hpp"
 #include "util/histogram.hpp"
@@ -189,16 +192,33 @@ TEST(StripedLruCache, StripeCountClampedToCapacity) {
 }
 
 TEST(LatencyHistogram, BucketBoundaries) {
-  // bucket 0: < 1us; bucket i: [2^(i-1), 2^i) us.
+  // bucket 0: < 1us; then 8 equal sub-buckets per octave [2^o, 2^(o+1)) us.
   EXPECT_EQ(LatencyHistogram::bucket_of(0.0), 0);
+  EXPECT_EQ(LatencyHistogram::bucket_of(-1.0), 0);
   EXPECT_EQ(LatencyHistogram::bucket_of(0.0005), 0);   // 0.5us
-  EXPECT_EQ(LatencyHistogram::bucket_of(0.001), 1);    // 1us
-  EXPECT_EQ(LatencyHistogram::bucket_of(0.0015), 1);   // 1.5us
-  EXPECT_EQ(LatencyHistogram::bucket_of(0.002), 2);    // 2us
-  EXPECT_EQ(LatencyHistogram::bucket_of(1.0), 10);     // 1000us -> [512, 1024)
-  EXPECT_EQ(LatencyHistogram::bucket_of(1.024), 11);   // 1024us
+  EXPECT_EQ(LatencyHistogram::bucket_of(0.001), 1);    // 1us -> [1, 1.125)
+  EXPECT_EQ(LatencyHistogram::bucket_of(0.0011), 1);   // 1.1us
+  EXPECT_EQ(LatencyHistogram::bucket_of(0.0012), 2);   // 1.2us -> [1.125, 1.25)
+  EXPECT_EQ(LatencyHistogram::bucket_of(0.0019), 8);   // 1.9us -> [1.875, 2)
+  EXPECT_EQ(LatencyHistogram::bucket_of(0.002), 9);    // 2us -> [2, 2.25)
+  EXPECT_EQ(LatencyHistogram::bucket_of(1.0), 80);     // 1000us -> [960, 1024)
+  EXPECT_EQ(LatencyHistogram::bucket_of(1.03), 81);    // 1030us -> [1024, 1152)
   EXPECT_EQ(LatencyHistogram::bucket_of(1e12), LatencyHistogram::kBuckets - 1);
-  EXPECT_DOUBLE_EQ(LatencyHistogram::bucket_upper_us(10), 1024.0);
+  EXPECT_DOUBLE_EQ(LatencyHistogram::bucket_upper_us(0), 1.0);
+  EXPECT_DOUBLE_EQ(LatencyHistogram::bucket_upper_us(1), 1.125);
+  EXPECT_DOUBLE_EQ(LatencyHistogram::bucket_upper_us(8), 2.0);
+  EXPECT_DOUBLE_EQ(LatencyHistogram::bucket_upper_us(80), 1024.0);
+  EXPECT_DOUBLE_EQ(LatencyHistogram::bucket_upper_us(81), 1152.0);
+  // Every bucket above 0 is at most 12.5% wider than its lower edge, and a
+  // value just inside either edge lands in it.
+  for (int i = 1; i < LatencyHistogram::kBuckets; ++i) {
+    const double lo = LatencyHistogram::bucket_upper_us(i - 1);
+    const double hi = LatencyHistogram::bucket_upper_us(i);
+    EXPECT_GT(hi, lo) << "bucket " << i;
+    EXPECT_LE(hi / lo, 1.125) << "bucket " << i;
+    EXPECT_EQ(LatencyHistogram::bucket_of(lo / 1000.0 * (1 + 1e-9)), i) << "bucket " << i;
+    EXPECT_EQ(LatencyHistogram::bucket_of(hi / 1000.0 * (1 - 1e-9)), i) << "bucket " << i;
+  }
 }
 
 TEST(LatencyHistogram, PercentilesUpperBoundAndMonotone) {
@@ -215,12 +235,38 @@ TEST(LatencyHistogram, PercentilesUpperBoundAndMonotone) {
   EXPECT_EQ(s.total(), 100u);
   const double p50 = s.percentile_ms(0.50);
   const double p99 = s.percentile_ms(0.99);
-  EXPECT_DOUBLE_EQ(p50, LatencyHistogram::bucket_upper_us(2) / 1000.0);
-  EXPECT_DOUBLE_EQ(p99, LatencyHistogram::bucket_upper_us(11) / 1000.0);
+  EXPECT_DOUBLE_EQ(p50, LatencyHistogram::bucket_upper_us(LatencyHistogram::bucket_of(0.002)) /
+                            1000.0);
+  EXPECT_DOUBLE_EQ(p99, LatencyHistogram::bucket_upper_us(LatencyHistogram::bucket_of(2.0)) /
+                            1000.0);
   EXPECT_LE(p50, p99);
   // The upper-bound bias never under-reports.
   EXPECT_GE(p50, 0.002);
   EXPECT_GE(p99, 2.0);
+}
+
+// Samples spread log-uniformly over 1 us .. 10 s: every percentile sits at
+// or above the exact nearest-rank value and at most 12.5% over it.
+TEST(LatencyHistogram, PercentilesWithinAnEighthOfNearestRank) {
+  Rng rng(2024);
+  LatencyHistogram h;
+  std::vector<double> samples;
+  for (int i = 0; i < 20000; ++i) {
+    // 10^(-3 .. 4) ms, in steps of 10^-6 decades.
+    const double ms = std::pow(10.0, static_cast<double>(rng.uniform(-3000000, 4000000)) / 1e6);
+    samples.push_back(ms);
+    h.record_ms(ms);
+  }
+  std::sort(samples.begin(), samples.end());
+  const auto s = h.snapshot();
+  for (const double q : {0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+    const auto rank = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil(q * static_cast<double>(samples.size()))));
+    const double exact = samples[rank - 1];
+    const double reported = s.percentile_ms(q);
+    EXPECT_GE(reported, exact * (1 - 1e-12)) << "q " << q;
+    EXPECT_LE(reported, exact * 1.125 * (1 + 1e-12)) << "q " << q;
+  }
 }
 
 }  // namespace

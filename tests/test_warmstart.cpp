@@ -1,5 +1,5 @@
-// Cross-variant solver warm starts (KIterOptions::initial_k, Howard policy
-// reuse) — the optimality-preserved equivalence suite:
+// Cross-variant solver warm starts (KIterOptions::initial_k, the MCRP
+// circuit seed) — the optimality-preserved equivalence suite:
 //
 //   1. Randomized warm-vs-cold K-iteration: seeding from the cold run's
 //      final K, from q itself, or from random valid divisors never changes
@@ -8,10 +8,14 @@
 //      sanitized entry-by-entry down to the cold start.
 //   3. Seeding an Optimal instance from its own final K converges in one
 //      round with the same period.
-//   4. Howard warm start through the exact oracle: a cost-patched graph
-//      solved with howard_warm_start on/off yields identical MCRP results,
-//      and the layout stamp gates reuse (set_cost preserves it, structural
-//      mutations clear it, copies share it).
+//   4. The MCRP warm start (McrpOptions::howard_warm_start): a cost-patched
+//      graph solved warm and cold yields identical MCRP results; a seed that
+//      is no longer a simple circuit of the new graph (ids out of range,
+//      arcs that no longer chain, a node visited twice) is dropped; a seed
+//      turned infeasible by an H edit is the Infeasible witness; after
+//      reset_warm_start() the solve is cold down to its critical circuit;
+//      and the layout stamp gates structural reuse (set_cost preserves it,
+//      structural mutations clear it, copies share it).
 //   5. Service lifecycle: a Deadlock variant mid-sweep resets the worker's
 //      warm state, so the following variant matches a cold run bit-for-bit;
 //      warm analyze_variants is value-identical to cold per-variant runs at
@@ -19,6 +23,7 @@
 //      fewer total rounds than the cold one (the point of the exercise).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -150,9 +155,9 @@ TEST(WarmStart, SeededFromFinalKConvergesInOneRound) {
   }
 }
 
-// ---- 4. Howard warm start through the exact oracle --------------------------
+// ---- 4. MCRP warm start through the exact oracle ----------------------------
 
-TEST(WarmStart, HowardWarmStartMatchesColdThroughExactSolver) {
+TEST(WarmStart, McrpWarmStartMatchesColdThroughCostPatches) {
   // A cost-patched constraint graph is exactly the warm-start situation the
   // DSE sweep produces; replay one here against the exact oracle.
   const CsdfGraph g = gcd_ring(16);
@@ -186,6 +191,149 @@ TEST(WarmStart, HowardWarmStartMatchesColdThroughExactSolver) {
     EXPECT_EQ(warm.status, cold.status) << context;
     EXPECT_EQ(warm.ratio, cold.ratio) << context;
   }
+}
+
+/// A graph given as (src, dst, L, H) arcs.
+struct ArcSpec {
+  std::int32_t src;
+  std::int32_t dst;
+  i64 cost;
+  Rational time;
+};
+
+BivaluedGraph make_bivalued(std::int32_t nodes, const std::vector<ArcSpec>& arcs) {
+  BivaluedGraph g(nodes);
+  for (const ArcSpec& a : arcs) g.add_arc(a.src, a.dst, a.cost, a.time);
+  return g;
+}
+
+/// Solves `prev` warm on `scratch` (leaving its critical circuit as the
+/// seed), then `next` warm on the same scratch, and returns the second.
+McrpResult warm_after(const BivaluedGraph& prev, const BivaluedGraph& next,
+                      McrpScratch& scratch) {
+  McrpOptions warm;
+  warm.howard_warm_start = true;
+  McrpResult r;
+  solve_max_cycle_ratio(prev, warm, scratch, r);
+  solve_max_cycle_ratio(next, warm, scratch, r);
+  return r;
+}
+
+void expect_matches_cold(const McrpResult& warm, const BivaluedGraph& g,
+                         const std::string& context) {
+  const McrpResult cold = solve_max_cycle_ratio(g);
+  EXPECT_EQ(warm.status, cold.status) << context;
+  EXPECT_EQ(warm.ratio, cold.ratio) << context;
+}
+
+/// True when `arcs` form a simple circuit of g (consecutive arcs chain, the
+/// last closes on the first, no node twice).
+bool simple_circuit(const BivaluedGraph& g, const std::vector<std::int32_t>& arcs) {
+  std::vector<std::int32_t> nodes;
+  for (std::size_t i = 0; i < arcs.size(); ++i) {
+    const auto& e = g.graph().arc(arcs[i]);
+    if (e.dst != g.graph().arc(arcs[(i + 1) % arcs.size()]).src) return false;
+    nodes.push_back(e.src);
+  }
+  std::sort(nodes.begin(), nodes.end());
+  return !arcs.empty() && std::adjacent_find(nodes.begin(), nodes.end()) == nodes.end();
+}
+
+TEST(WarmStart, SeedWithArcIdsOutOfRangeIsDropped) {
+  // The critical circuit of `big` is its 4-cycle on arcs 2..5; `small` has
+  // only 3 arcs.
+  const BivaluedGraph big = make_bivalued(
+      4, {{0, 0, 1, Rational{1}}, {1, 1, 1, Rational{1}}, {0, 1, 9, Rational{1}},
+          {1, 2, 9, Rational{1}}, {2, 3, 9, Rational{1}}, {3, 0, 9, Rational{1}}});
+  const BivaluedGraph small =
+      make_bivalued(2, {{0, 1, 2, Rational{1}}, {1, 0, 4, Rational{2}}, {1, 1, 1, Rational{1}}});
+  McrpScratch scratch;
+  const McrpResult warm = warm_after(big, small, scratch);
+  std::vector<std::int32_t> seed = solve_max_cycle_ratio(big).critical_cycle;
+  std::sort(seed.begin(), seed.end());
+  ASSERT_EQ(seed, (std::vector<std::int32_t>{2, 3, 4, 5}));
+  expect_matches_cold(warm, small, "out-of-range seed");
+  EXPECT_EQ(warm.ratio, Rational{2});
+}
+
+TEST(WarmStart, SeedWhoseArcsNoLongerChainIsDropped) {
+  // Same size, arcs re-pointed: the old 3-cycle's ids now name three
+  // unrelated self-loops and one 2-cycle.
+  const BivaluedGraph before = make_bivalued(
+      3, {{0, 1, 5, Rational{1}}, {1, 2, 5, Rational{1}}, {2, 0, 5, Rational{1}},
+          {0, 0, 1, Rational{1}}});
+  const BivaluedGraph after = make_bivalued(
+      3, {{0, 0, 2, Rational{1}}, {1, 1, 3, Rational{1}}, {2, 1, 7, Rational{2}},
+          {1, 2, 1, Rational{2}}});
+  McrpScratch scratch;
+  const McrpResult warm = warm_after(before, after, scratch);
+  expect_matches_cold(warm, after, "unchained seed");
+  EXPECT_EQ(warm.ratio, Rational{3});
+  EXPECT_TRUE(simple_circuit(after, warm.critical_cycle));
+}
+
+TEST(WarmStart, SeedThatRevisitsANodeIsDropped) {
+  // The old 4-cycle 0→1→2→3→0 on arcs 0..3 becomes the closed walk
+  // 0→1→0→2→0, two co-critical 2-cycles of ratio 3 through node 0. As a seed
+  // its ratio would be 3 too, and the loop would confirm the walk.
+  const BivaluedGraph before = make_bivalued(
+      4, {{0, 1, 3, Rational{1}}, {1, 2, 3, Rational{1}}, {2, 3, 3, Rational{1}},
+          {3, 0, 3, Rational{1}}});
+  const BivaluedGraph after = make_bivalued(
+      4, {{0, 1, 3, Rational{1}}, {1, 0, 3, Rational{1}}, {0, 2, 3, Rational{1}},
+          {2, 0, 3, Rational{1}}});
+  McrpScratch scratch;
+  const McrpResult warm = warm_after(before, after, scratch);
+  expect_matches_cold(warm, after, "walk seed");
+  EXPECT_EQ(warm.ratio, Rational{3});
+  EXPECT_EQ(warm.critical_cycle.size(), 2u);
+  EXPECT_TRUE(simple_circuit(after, warm.critical_cycle));
+}
+
+TEST(WarmStart, SeedTurnedInfeasibleIsTheWitness) {
+  // An H edit on the critical 2-cycle makes H(c) = -1 < 0.
+  const BivaluedGraph before = make_bivalued(
+      3, {{0, 1, 4, Rational{1}}, {1, 0, 4, Rational{1}}, {2, 2, 1, Rational{1}}});
+  const BivaluedGraph after = make_bivalued(
+      3, {{0, 1, 4, Rational{1}}, {1, 0, 4, Rational{-2}}, {2, 2, 1, Rational{1}}});
+  McrpScratch scratch;
+  const McrpResult warm = warm_after(before, after, scratch);
+  expect_matches_cold(warm, after, "infeasible seed");
+  ASSERT_EQ(warm.status, McrpStatus::Infeasible);
+  EXPECT_LT(after.cycle_time(warm.critical_cycle).sign(), 0);
+  EXPECT_TRUE(simple_circuit(after, warm.critical_cycle));
+}
+
+TEST(WarmStart, ResetWarmStartSolvesColdDownToTheCircuit) {
+  // Two co-critical self-loops of ratio 2. The previous graph makes the
+  // loop the cold solve does NOT report the seed, so only a dropped seed
+  // reproduces the cold circuit.
+  const BivaluedGraph tie =
+      make_bivalued(2, {{0, 0, 4, Rational{2}}, {1, 1, 6, Rational{3}}});
+  const McrpResult cold = solve_max_cycle_ratio(tie);
+  ASSERT_EQ(cold.status, McrpStatus::Optimal);
+  ASSERT_EQ(cold.critical_cycle.size(), 1u);
+  const std::int32_t other = 1 - cold.critical_cycle[0];
+  std::vector<ArcSpec> arcs{{0, 0, 4, Rational{2}}, {1, 1, 6, Rational{3}}};
+  arcs[static_cast<std::size_t>(other)].cost = 10;
+  const BivaluedGraph prev = make_bivalued(2, arcs);
+
+  McrpOptions warm;
+  warm.howard_warm_start = true;
+  McrpScratch scratch;
+  McrpResult r;
+  solve_max_cycle_ratio(prev, warm, scratch, r);
+  solve_max_cycle_ratio(tie, warm, scratch, r);
+  ASSERT_EQ(r.critical_cycle, std::vector<std::int32_t>{other})
+      << "the seed must decide the circuit, or this test proves nothing";
+
+  solve_max_cycle_ratio(prev, warm, scratch, r);
+  scratch.reset_warm_start();
+  solve_max_cycle_ratio(tie, warm, scratch, r);
+  EXPECT_EQ(r.status, cold.status);
+  EXPECT_EQ(r.ratio, cold.ratio);
+  EXPECT_EQ(r.critical_cycle, cold.critical_cycle);
+  EXPECT_EQ(r.exact_iterations, cold.exact_iterations);
 }
 
 TEST(WarmStart, LayoutStampGatesReuse) {
