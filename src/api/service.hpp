@@ -234,7 +234,7 @@ struct VariantBatch {
   /// MCRP solve seeds λ with the previous solve's critical circuit whenever
   /// its arc ids still form a simple circuit of the new constraint graph
   /// (McrpOptions::howard_warm_start, which also keeps the solver's cyclic
-  /// core when the graph was payload-patched in place). Values — throughput,
+  /// core when the graph was rewritten in place). Values — throughput,
   /// period, Deadlock/Unbounded classification — are identical to a cold
   /// sweep; only the trajectory metadata (Analysis::rounds, the final K in
   /// `detail`, iteration counts) may differ, which is why this is a

@@ -121,14 +121,16 @@ struct EmitState {
   }
 };
 
-/// Appends buffer `b`'s useful constraints to `cg` via the stride
-/// enumeration (see the header comment). Node layout (init_constraint_nodes
-/// for this `k`) must already be in place; arcs land at the end of the arc
-/// list, which is what keeps each buffer's arcs contiguous — the span
-/// structure the incremental engine records. Returns false iff the poll
-/// aborted mid-buffer (cg is then partial).
+/// Appends buffer `b`'s useful constraints to `out` via the stride
+/// enumeration (see the header comment), with node ids from `first_node`,
+/// the task_first_node map of the layout `k` gives (init_constraint_nodes),
+/// and `out` holding at least that layout's nodes. Arcs land at the end of
+/// the arc list, which is what keeps each buffer's arcs contiguous — the
+/// span structure the incremental engine records. Returns false iff the
+/// poll aborted mid-buffer (`out` is then partial).
 bool emit_buffer_arcs(const CsdfGraph& g, const RepetitionVector& rv, const Buffer& b,
-                      const std::vector<i64>& k, ConstraintGraph& cg, EmitState& st) {
+                      const std::vector<i64>& k, std::span<const std::int32_t> first_node,
+                      BivaluedGraph& out, EmitState& st) {
   const TaskId t = b.src;
   const TaskId t2 = b.dst;
   const i64 kt = k[static_cast<std::size_t>(t)];
@@ -152,7 +154,7 @@ bool emit_buffer_arcs(const CsdfGraph& g, const RepetitionVector& rv, const Buff
       stride_usable && j_stride > 1 ? mod_inverse((o_mod / d) % j_stride, j_stride) : 0;
 
   const i64 rows = checked_mul(kt, i64{phi});
-  const std::int32_t first2 = cg.task_first_node[static_cast<std::size_t>(t2)];
+  const std::int32_t first2 = first_node[static_cast<std::size_t>(t2)];
   for (i64 pt = 1; pt <= rows; ++pt) {
     if (st.stride != 0 && --st.rows_until_poll <= 0) {
       if (st.poll->should_stop()) return false;
@@ -165,7 +167,7 @@ bool emit_buffer_arcs(const CsdfGraph& g, const RepetitionVector& rv, const Buff
     const i64 in_p = b.prod[static_cast<std::size_t>(p - 1)];
     const i64 dur = g.duration(t, p);
     const std::int32_t src_node =
-        cg.task_first_node[static_cast<std::size_t>(t)] + static_cast<std::int32_t>(pt - 1);
+        first_node[static_cast<std::size_t>(t)] + static_cast<std::int32_t>(pt - 1);
     // Q̃(p̃,p̃') - 1 = cum_out + A with A independent of p̃'.
     const i128 a_off =
         checked_sub(checked_sub(i128{in_p}, cum_in), checked_add(i128{b.initial_tokens}, 1));
@@ -187,8 +189,8 @@ bool emit_buffer_arcs(const CsdfGraph& g, const RepetitionVector& rv, const Buff
         i128 res = c;     // q1 mod γ
         for (i64 j = 0; j < kt2; ++j) {
           if (res < i128{m}) {
-            cg.graph.add_arc(src_node, dst0 + static_cast<std::int32_t>(j) * phi2, dur,
-                             Rational(-(q1 - res), h_den));
+            out.add_arc(src_node, dst0 + static_cast<std::int32_t>(j) * phi2, dur,
+                        Rational(-(q1 - res), h_den));
           }
           q1 = checked_add(q1, i128{b.total_cons});
           res += o_mod;
@@ -201,8 +203,8 @@ bool emit_buffer_arcs(const CsdfGraph& g, const RepetitionVector& rv, const Buff
           const i128 j0 = ((v / d) % j_stride) * inv % j_stride;
           for (i128 j = j0; j < i128{kt2}; j += j_stride) {
             const i128 q1 = checked_add(base, checked_mul(j, i128{b.total_cons}));
-            cg.graph.add_arc(src_node, dst0 + static_cast<std::int32_t>(j) * phi2, dur,
-                             Rational(-(q1 - tt), h_den));
+            out.add_arc(src_node, dst0 + static_cast<std::int32_t>(j) * phi2, dur,
+                        Rational(-(q1 - tt), h_den));
           }
         }
       }
@@ -322,6 +324,68 @@ void layout_nodes_for_patch(const CsdfGraph& g, const RepetitionVector& rv,
     std::copy_n(prev.node_phase.begin() + pfirst, len, out.node_phase.begin() + first);
     std::copy_n(prev.node_iter.begin() + pfirst, len, out.node_iter.begin() + first);
   }
+}
+
+/// Emits every structurally touched buffer's arcs into cache.aside against
+/// the live graph's node layout — for a round that keeps every task's K,
+/// the layout of (g, k) — and records buffer b's aside span as
+/// [aside_arc_begin[b], aside_arc_begin[b+1]) (empty when untouched).
+/// Returns false iff the poll aborted.
+bool emit_touched_aside(const CsdfGraph& g, const RepetitionVector& rv, const BufferSeq& bufs,
+                        const std::vector<i64>& k, const ConstraintGraph& cg,
+                        ConstraintGraphCache& cache, EmitState& st) {
+  cache.aside.reset(cg.graph.node_count());
+  cache.aside_arc_begin.resize(bufs.size() + 1);
+  for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
+    cache.aside_arc_begin[bid] = cache.aside.arc_count();
+    if (cache.buf_touched[bid] != 0 &&
+        !emit_buffer_arcs(g, rv, bufs[bid], k, cg.task_first_node, cache.aside, st)) {
+      return false;
+    }
+  }
+  cache.aside_arc_begin[bufs.size()] = cache.aside.arc_count();
+  return true;
+}
+
+/// The in-place round: when every touched buffer's aside span has its live
+/// span's arc count and endpoints, arc for arc, copies the aside L and H
+/// payloads over the live span and rewrites L over the untouched spans of
+/// producers whose durations moved. Node maps, spans, endpoints and the
+/// CSR stay as they are; the topology stamp survives, and the layout stamp
+/// moves only if some H did (set_time is skipped where H is unchanged).
+/// Returns false, having written nothing, when some touched span changed
+/// shape.
+bool rewrite_in_place(const CsdfGraph& g, const BufferSeq& bufs, ConstraintGraph& cg,
+                      ConstraintGraphCache& cache) {
+  const std::span<const Digraph::Arc> live = cg.graph.graph().arcs();
+  const std::span<const Digraph::Arc> aside = cache.aside.graph().arcs();
+  for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
+    if (cache.buf_touched[bid] != 0 &&
+        !std::equal(live.begin() + cache.buf_arc_begin[bid],
+                    live.begin() + cache.buf_arc_begin[bid + 1],
+                    aside.begin() + cache.aside_arc_begin[bid],
+                    aside.begin() + cache.aside_arc_begin[bid + 1])) {
+      return false;
+    }
+  }
+  const std::span<const i64> costs = cache.aside.costs();
+  const std::span<const Rational> times = cache.aside.times();
+  for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
+    const std::int32_t lo = cache.buf_arc_begin[bid];
+    const std::int32_t hi = cache.buf_arc_begin[bid + 1];
+    if (cache.buf_touched[bid] != 0) {
+      auto from = static_cast<std::size_t>(cache.aside_arc_begin[bid]);
+      for (std::int32_t a = lo; a < hi; ++a, ++from) {
+        cg.graph.set_cost(a, costs[from]);
+        if (!(cg.graph.times()[static_cast<std::size_t>(a)] == times[from])) {
+          cg.graph.set_time(a, times[from]);
+        }
+      }
+    } else if (cache.task_recost[static_cast<std::size_t>(bufs[bid].src)] != 0) {
+      recost_span(g, cg, bufs[bid].src, lo, hi);
+    }
+  }
+  return true;
 }
 
 /// Upper bound on the stride generator's work for one buffer at (kt, kt2):
@@ -500,7 +564,7 @@ bool build_constraint_graph_into(const CsdfGraph& g, const RepetitionVector& rv,
   // by one modular inverse per buffer (emit_buffer_arcs).
   EmitState st(poll);
   for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
-    if (!emit_buffer_arcs(g, rv, bufs[bid], k, cg, st)) return false;
+    if (!emit_buffer_arcs(g, rv, bufs[bid], k, cg.task_first_node, cg.graph, st)) return false;
   }
   cg.graph.graph().finalize();
   return true;
@@ -514,13 +578,21 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
   const std::size_t nbuf = bufs.size();
   const auto ntasks = static_cast<std::size_t>(g.task_count());
 
-  // Diff (g, k) against the cached content snapshot. The patch path needs a
-  // valid span record for a same-shaped graph and at least one buffer whose
-  // arcs survive structurally.
+  // Diff (g, k) against the cached content snapshot. The patch paths need a
+  // valid span record for a same-shaped graph.
   bool patch = cache.valid && cg.k.size() == k.size() && k.size() == ntasks &&
                cache.buf_arc_begin.size() == nbuf + 1 && shape_matches(g, bufs, cache);
   bool any_recost = false;   // some task's durations moved (L payloads)
   bool any_content = false;  // some buffer's marking/q/rates moved
+  bool aside = false;        // the touched buffers' arcs sit in cache.aside
+  i64 touched = 0;           // buffers re-enumerated this round
+  // Refresh only the snapshot pieces the diff saw move: a pure-K round (the
+  // K-Iter common case) proved the whole snapshot still current.
+  auto refresh_snapshot = [&] {
+    if (any_recost) snapshot_durations(g, cache);
+    if (any_content) snapshot_buffers(bufs, rv, cache);
+    cache.last_regenerated_buffers = touched;
+  };
   if (patch) {
     // Per task: did its K change (node layout) / did its durations change
     // (L payloads of its out-buffers)?
@@ -544,9 +616,9 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
 
     // Per buffer: did anything that shapes its arcs change — endpoint K,
     // marking, producer q, rates? The content check runs even for buffers a
-    // K change already touched: `any_content` decides below whether the
-    // buffer snapshot must be refreshed at all (pure-K rounds, the K-Iter
-    // common case, skip it entirely).
+    // K change already touched: `any_content` decides whether the buffer
+    // snapshot must be refreshed at all (pure-K rounds, the K-Iter common
+    // case, skip it entirely).
     cache.buf_touched.assign(nbuf, 0);
     std::size_t rate_off = 0;
     for (std::size_t bid = 0; bid < nbuf; ++bid) {
@@ -556,35 +628,35 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
       if (content_moved || cache.task_touched[static_cast<std::size_t>(b.src)] != 0 ||
           cache.task_touched[static_cast<std::size_t>(b.dst)] != 0) {
         cache.buf_touched[bid] = 1;
+        ++touched;
       }
     }
 
-    if (!any_layout && !any_content) {
-      if (!any_recost) return true;  // the graph already encodes (g, k)
-      // Execution-time-only delta: every arc keeps its endpoints and H, so
-      // the node layout, the spans and the CSR all stay verbatim — rewrite
-      // the L payloads of the changed producers' spans on the LIVE graph
-      // and refresh the duration snapshot. No buffer is re-enumerated and
-      // nothing is allocated.
-      for (std::size_t bid = 0; bid < nbuf; ++bid) {
-        const Buffer& b = bufs[bid];
-        if (cache.task_recost[static_cast<std::size_t>(b.src)] == 0) continue;
-        recost_span(g, cg, b.src, cache.buf_arc_begin[bid], cache.buf_arc_begin[bid + 1]);
+    if (!any_layout && !any_recost && touched == 0) return true;  // cg already encodes (g, k)
+    // A round that re-enumerates every buffer buys nothing from patching:
+    // it rebuilds (the worst case: the critical circuit covered every task).
+    patch = touched < static_cast<i64>(nbuf);
+    if (patch && !any_layout) {
+      // Every task keeps its K, so the node layout stays and only the
+      // touched buffers' spans can differ. Emit them aside, once: if each
+      // keeps its arc count and endpoints, the round is a payload rewrite
+      // on the live graph — no relayout, no splice, no CSR rebuild. A pure
+      // execution-time delta is the zero-touched-buffer case. Otherwise the
+      // splice below takes the touched spans from the aside graph.
+      EmitState st(poll);
+      if (!emit_touched_aside(g, rv, bufs, k, cg, cache, st)) {
+        // cg still holds the previous round's intact graph, but it does not
+        // encode (g, k): force the next build down the cold path.
+        cache.invalidate();
+        return false;
       }
-      snapshot_durations(g, cache);
-      ++cache.payload_rounds;
-      cache.last_regenerated_buffers = 0;
-      return true;
-    }
-
-    bool any_untouched_buffer = false;
-    for (std::size_t bid = 0; bid < nbuf; ++bid) {
-      if (cache.buf_touched[bid] == 0) {
-        any_untouched_buffer = true;
-        break;
+      if (rewrite_in_place(g, bufs, cg, cache)) {
+        refresh_snapshot();
+        ++cache.payload_rounds;
+        return true;
       }
+      aside = true;
     }
-    patch = any_untouched_buffer;  // full-coverage round: patching buys nothing
   }
 
   if (!patch) {
@@ -597,7 +669,7 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
     EmitState st(poll);
     for (std::size_t bid = 0; bid < nbuf; ++bid) {
       cache.buf_arc_begin[bid] = cg.graph.arc_count();
-      if (!emit_buffer_arcs(g, rv, bufs[bid], k, cg, st)) return false;
+      if (!emit_buffer_arcs(g, rv, bufs[bid], k, cg.task_first_node, cg.graph, st)) return false;
     }
     cache.buf_arc_begin[nbuf] = cg.graph.arc_count();
     cg.graph.graph().finalize();
@@ -608,13 +680,14 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
     return true;
   }
 
-  // Patch path: lay out the new node space in the scratch graph (node-map
+  // Splice path: lay out the new node space in the scratch graph (node-map
   // spans of layout-unchanged tasks block-copied from the live graph), then
-  // walk the buffers in id order — regenerate the structurally touched
-  // ones, splice the rest over with the constant node-id shift their tasks'
-  // layout change induces (rewriting L payloads where only the producer's
-  // durations moved). Buffer order is what the full build uses, so the
-  // result is arc-for-arc identical to a fresh build.
+  // walk the buffers in id order — take the structurally touched ones from
+  // the aside graph or regenerate them, splice the rest over with the
+  // constant node-id shift their tasks' layout change induces (rewriting L
+  // payloads where only the producer's durations moved). Buffer order is
+  // what the full build uses, so the result is arc-for-arc identical to a
+  // fresh build.
   ConstraintGraph& scratch = cache.scratch;
   layout_nodes_for_patch(g, rv, k, cg, scratch, cache.task_touched);
   cache.node_delta.resize(ntasks);
@@ -622,21 +695,12 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
     cache.node_delta[t] = scratch.task_first_node[t] - cg.task_first_node[t];
   }
   cache.scratch_arc_begin.resize(nbuf + 1);
-  i64 regenerated = 0;
   EmitState st(poll);
   for (std::size_t bid = 0; bid < nbuf; ++bid) {
     const Buffer& b = bufs[bid];
     const std::int32_t lo = scratch.graph.arc_count();
     cache.scratch_arc_begin[bid] = lo;
-    if (cache.buf_touched[bid] != 0) {
-      ++regenerated;
-      if (!emit_buffer_arcs(g, rv, b, k, scratch, st)) {
-        // cg still holds the previous round's intact graph, but it does not
-        // encode (g, k): force the next build down the cold path.
-        cache.invalidate();
-        return false;
-      }
-    } else {
+    if (cache.buf_touched[bid] == 0) {
       scratch.graph.append_arcs_shifted(
           cg.graph, cache.buf_arc_begin[bid], cache.buf_arc_begin[bid + 1],
           cache.node_delta[static_cast<std::size_t>(b.src)],
@@ -644,6 +708,12 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
       if (cache.task_recost[static_cast<std::size_t>(b.src)] != 0) {
         recost_span(g, scratch, b.src, lo, scratch.graph.arc_count());
       }
+    } else if (aside) {
+      scratch.graph.append_arcs_shifted(cache.aside, cache.aside_arc_begin[bid],
+                                        cache.aside_arc_begin[bid + 1], 0, 0);
+    } else if (!emit_buffer_arcs(g, rv, b, k, scratch.task_first_node, scratch.graph, st)) {
+      cache.invalidate();  // as on an aside abort: cg does not encode (g, k)
+      return false;
     }
   }
   cache.scratch_arc_begin[nbuf] = scratch.graph.arc_count();
@@ -707,12 +777,8 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
   // both sides — warm patched rounds allocate nothing).
   std::swap(cg, scratch);
   cache.buf_arc_begin.swap(cache.scratch_arc_begin);
-  // Refresh only the snapshot pieces the diff saw move: a pure-K round
-  // (the K-Iter common case) proved the whole snapshot still current.
-  if (any_recost) snapshot_durations(g, cache);
-  if (any_content) snapshot_buffers(bufs, rv, cache);
+  refresh_snapshot();
   ++cache.patched_rounds;
-  cache.last_regenerated_buffers = regenerated;
   return true;
 }
 

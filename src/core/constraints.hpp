@@ -117,14 +117,27 @@ struct ConstraintPoll {
 ///
 ///   * fingerprint identical            -> splice the recorded span verbatim
 ///                                         (constant per-task node-id shift);
-///   * producer durations changed only  -> splice + rewrite L payloads, or,
-///                                         when NO buffer needs structural
-///                                         work, patch L on the live graph
-///                                         in place (no node relayout, no
-///                                         CSR rebuild, no re-enumeration);
+///   * producer durations changed only  -> splice + rewrite L payloads;
 ///   * anything structural changed      -> regenerate through the stride
 ///                                         enumerator;
 ///   * topology/phase-count mismatch    -> full rebuild (different shape).
+///
+/// and the round as a whole:
+///
+///   * every buffer touched             -> full rebuild, whatever changed
+///                                         (nothing is left to keep);
+///   * no task's K changed, and every   -> in place: rewrite the touched
+///     regenerated span keeps its arc      spans' L/H payloads and the
+///     count and endpoints                 recosted spans' L on the live
+///                                         graph — no node relayout, no
+///                                         splice, no CSR rebuild. A pure
+///                                         execution-time delta is its
+///                                         zero-touched-buffer case;
+///   * no task's K changed otherwise    -> splice, taking the touched spans
+///                                         from where they were emitted
+///                                         aside (no buffer emitted twice);
+///   * some task's K changed            -> splice, regenerating the touched
+///                                         buffers into the scratch graph.
 ///
 /// Patches splice into a ping-pong scratch graph and swap; both sides
 /// retain capacity, so warm patched rounds stay zero-allocation (the
@@ -163,6 +176,13 @@ struct ConstraintGraphCache {
   ConstraintGraph scratch;
   std::vector<std::int32_t> scratch_arc_begin;
 
+  /// Side target of a round that keeps every task's K: the touched
+  /// buffers' arcs, emitted once against the live node layout; buffer b's
+  /// span is [aside_arc_begin[b], aside_arc_begin[b+1]) (empty when b is
+  /// untouched). The in-place rewrite and the splice both read from here.
+  BivaluedGraph aside;
+  std::vector<std::int32_t> aside_arc_begin;
+
   /// Per-task / per-buffer scratch for one diff+patch (capacity retained):
   /// first-node shift, layout-changed and durations-changed task flags,
   /// structurally-touched buffer flags, and the degree-span / recount lists
@@ -181,10 +201,10 @@ struct ConstraintGraphCache {
   /// Round counters for benchmarks and tests (never reset by invalidate).
   i64 patched_rounds = 0;   ///< rounds served by the splice path
   i64 rebuilt_rounds = 0;   ///< cold starts and full-rebuild fallbacks
-  i64 payload_rounds = 0;   ///< pure execution-time patches on the live graph
+  i64 payload_rounds = 0;   ///< in-place rounds: payload rewrites on the live graph
 
   /// Buffers re-enumerated through the stride generator by the most recent
-  /// build (every buffer on a rebuild; 0 on a pure payload patch).
+  /// build (every buffer on a rebuild; 0 on a pure execution-time patch).
   i64 last_regenerated_buffers = 0;
 
   void invalidate() noexcept { valid = false; }
@@ -229,16 +249,19 @@ bool build_constraint_graph_into(const CsdfGraph& g, const RepetitionVector& rv,
 /// whose content fingerprint changed — endpoint K, rates, marking, producer
 /// q — are regenerated; every other buffer's arc span is spliced over with
 /// a constant node-id shift, with L payloads rewritten in place for buffers
-/// whose producer only changed durations. `g` need NOT be the graph the
-/// cache was built from: any same-shaped variant diffs against the content
-/// snapshot, which is what lets one warm cache serve a parametric DSE batch
-/// (an execution-time-only variant patches the live graph's L payloads and
-/// re-enumerates nothing). Falls back to a recorded full rebuild on a cold
-/// cache, a shape mismatch, or when no buffer survives untouched (the worst
-/// case: the critical circuit covered every task). Returns false iff `poll`
-/// aborted; the cache is then invalid and `out` must be rebuilt (after a
-/// mid-patch abort `out` still holds the previous round's intact graph, but
-/// it does not correspond to (g, k)).
+/// whose producer only changed durations. When no task's K changed and
+/// every regenerated span keeps its arc count and endpoints, the round
+/// rewrites payloads on the live graph instead (see the cache's round
+/// table). `g` need NOT be the graph the cache was built from: any
+/// same-shaped variant diffs against the content snapshot, which is what
+/// lets one warm cache serve a parametric DSE batch (an execution-time-only
+/// variant patches the live graph's L payloads and re-enumerates nothing).
+/// Falls back to a recorded full rebuild on a cold cache, a shape mismatch,
+/// or when a K change touches every buffer (the worst case: the critical
+/// circuit covered every task). Returns false iff `poll` aborted; the cache
+/// is then invalid and `out` must be rebuilt (after a mid-patch abort `out`
+/// still holds the previous round's intact graph, but it does not
+/// correspond to (g, k)).
 bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVector& rv,
                                         const std::vector<i64>& k, ConstraintGraph& out,
                                         ConstraintGraphCache& cache,

@@ -163,21 +163,21 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
 
   for (int round = 0; round < options.max_rounds; ++round) {
     // ---- resource guards ---------------------------------------------------
-    // Price the round at the cheapest applicable cost model: brute-force
-    // pair count, stride-generator work estimate, and — when the previous
-    // round's graph is cached — the cost of patching it, which on rounds
-    // whose critical circuit touched few tasks is far below a full build.
-    i128 cost =
-        std::min(constraint_pair_count(g, k, extra), constraint_work_estimate(g, k, extra));
-    if (options.incremental && ws.cache.valid) {
-      // Only a warm cache changes the price; the cold fallback inside the
-      // patch estimate would just recompute the full estimate above.
-      cost = std::min(cost, constraint_patch_work_estimate(g, rv, ws.constraints.k, k, ws.cache,
-                                                           extra));
-    }
-    if (cost > options.max_constraint_pairs || out_of_budget()) {
-      return finish_resource_limit(round);
-    }
+    // Refuse the round only when every applicable cost model prices it over
+    // the cap: brute-force pair count, stride-generator work estimate, and —
+    // when the previous round's graph is cached — the cost of patching it,
+    // which on rounds whose critical circuit touched few tasks is far below
+    // a full build. That is "the cheapest of the three exceeds the cap",
+    // evaluated cheapest model first and only as far as the decision needs:
+    // the pair count alone admits most rounds. Only a warm cache changes
+    // the price; the cold fallback inside the patch estimate would just
+    // recompute the stride estimate.
+    const i128 cap = options.max_constraint_pairs;
+    const bool over_cap =
+        constraint_pair_count(g, k, extra) > cap && constraint_work_estimate(g, k, extra) > cap &&
+        !(options.incremental && ws.cache.valid &&
+          constraint_patch_work_estimate(g, rv, ws.constraints.k, k, ws.cache, extra) <= cap);
+    if (over_cap || out_of_budget()) return finish_resource_limit(round);
 
     // ---- evaluate this K (allocation-free once the workspace is warm) ------
     const ConstraintPoll* poll = want_poll ? &round_poll : nullptr;

@@ -106,10 +106,12 @@ struct KIterOptions {
   /// warm cache, the diff-and-patch cost (constraint_patch_work_estimate,
   /// typically far below both on small-circuit rounds) — exceeds this (the
   /// graph2/graph3-style blowups); the run then returns ResourceLimit with
-  /// the best achievable bound so far. Note: a structural ResourceLimit
-  /// exit (this guard or max_rounds) with a feasible bound re-evaluates the
-  /// best K once to report its schedule; time/cancel exits skip that
-  /// re-evaluation so they return promptly.
+  /// the best achievable bound so far. The cheap pair count is tried first
+  /// and the estimates only while every model tried so far is over the
+  /// cap, so a round the pair count admits pays for no estimate. Note: a
+  /// structural ResourceLimit exit (this guard or max_rounds) with a
+  /// feasible bound re-evaluates the best K once to report its schedule;
+  /// time/cancel exits skip that re-evaluation so they return promptly.
   i128 max_constraint_pairs = i128{200} * 1000 * 1000;
 
   /// Wall-clock budget; < 0 disables. Checked between rounds AND inside

@@ -45,6 +45,8 @@ class Digraph {
   struct Arc {
     std::int32_t src = -1;
     std::int32_t dst = -1;
+
+    friend bool operator==(const Arc&, const Arc&) = default;
   };
 
   Digraph() = default;

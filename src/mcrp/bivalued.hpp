@@ -36,11 +36,11 @@ class BivaluedGraph {
     g_.reset(nodes);
     cost_.clear();
     time_.clear();
-    stamp_ = 0;
+    clear_stamps();
   }
 
   std::int32_t add_node() {
-    stamp_ = 0;
+    clear_stamps();
     return g_.add_node();
   }
 
@@ -48,7 +48,7 @@ class BivaluedGraph {
     const std::int32_t id = g_.add_arc(src, dst);
     cost_.push_back(cost);
     time_.push_back(std::move(time));
-    stamp_ = 0;
+    clear_stamps();
     return id;
   }
 
@@ -60,14 +60,15 @@ class BivaluedGraph {
   /// copy is therefore sound only for buffers whose fingerprint matched,
   /// and the incremental engine compensates duration-only changes by
   /// rewriting L over the spliced span afterwards (set_cost). `from`
-  /// must be a different graph (the engine splices old -> scratch).
+  /// must be a different graph (the engine splices old -> scratch, and
+  /// re-marked spans from where it emitted them aside).
   void append_arcs_shifted(const BivaluedGraph& from, std::int32_t lo, std::int32_t hi,
                            std::int32_t dsrc, std::int32_t ddst) {
     assert(&from != this);
     g_.append_arcs_shifted(from.g_, lo, hi, dsrc, ddst);
     cost_.insert(cost_.end(), from.cost_.begin() + lo, from.cost_.begin() + hi);
     time_.insert(time_.end(), from.time_.begin() + lo, from.time_.begin() + hi);
-    stamp_ = 0;
+    clear_stamps();
   }
 
   [[nodiscard]] const Digraph& graph() const noexcept { return g_; }
@@ -79,33 +80,39 @@ class BivaluedGraph {
     return time_.at(static_cast<std::size_t>(arc));
   }
 
-  /// Rewrites one arc's cost in place. L is the only payload a pure
-  /// execution-time delta touches, and it does not feed the CSR adjacency —
-  /// so the incremental engine patches costs on the live graph without
-  /// invalidating anything (endpoints and H stay verbatim). The layout
-  /// stamp survives on purpose: a cost rewrite is exactly the change the
-  /// MCRP solver's structural reuse (mcrp/cycle_ratio.hpp) may see through.
+  /// Rewrites one arc's cost in place. L does not feed the CSR adjacency
+  /// and no stamp covers it, so both stamps survive: a cost rewrite is
+  /// exactly the change the MCRP solver's structural reuse
+  /// (mcrp/cycle_ratio.hpp) sees through entirely.
   void set_cost(std::int32_t arc, i64 cost) {
     assert(arc >= 0 && arc < arc_count());
     cost_[static_cast<std::size_t>(arc)] = cost;
   }
 
-  /// Structural-identity stamp for solver warm starts: two graphs (or one
-  /// graph at two times) reporting the same stamp have identical node/arc
-  /// layout AND identical H payloads — only L costs may differ, because
-  /// set_cost is the one mutator that preserves the stamp. Stamps are
-  /// assigned lazily from a process-wide counter, so a fresh stamp is
-  /// unique; copies keep the source's stamp (their layout is identical by
-  /// construction), and every structural mutation clears it so the next
-  /// query mints a new one. Like the lazy CSR build, the first query after
-  /// a mutation is not reentrant — do not race it across threads.
-  [[nodiscard]] std::uint64_t layout_stamp() const noexcept {
-    if (stamp_ == 0) {
-      static std::atomic<std::uint64_t> counter{0};
-      stamp_ = counter.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-    return stamp_;
+  /// Rewrites one arc's time in place. Endpoints and the CSR stay put, so
+  /// the topology stamp survives; the layout stamp, which covers H, is
+  /// cleared. The incremental constraint engine rewrites a re-marked
+  /// buffer's span this way when the new span keeps the old endpoints.
+  void set_time(std::int32_t arc, Rational time) {
+    assert(arc >= 0 && arc < arc_count());
+    time_[static_cast<std::size_t>(arc)] = std::move(time);
+    stamp_ = 0;
   }
+
+  /// Identity stamps for solver warm starts. Two graphs (or one graph at
+  /// two times) reporting the same topology stamp have identical node
+  /// counts and arc lists (ids and endpoints); payloads may differ. The
+  /// same layout stamp additionally guarantees identical H payloads, so
+  /// only L costs may differ. set_cost keeps both stamps, set_time keeps
+  /// only the topology stamp, and every structural mutation (add_node,
+  /// add_arc, append_arcs_shifted, reset) clears both. Stamps are assigned
+  /// lazily from one process-wide counter, so a fresh stamp is unique and
+  /// a matching layout stamp implies an identical topology; copies keep the
+  /// source's stamps (their layout is identical by construction).
+  /// Like the lazy CSR build, the first query after a mutation is not
+  /// reentrant — do not race it across threads.
+  [[nodiscard]] std::uint64_t layout_stamp() const noexcept { return mint(stamp_); }
+  [[nodiscard]] std::uint64_t topology_stamp() const noexcept { return mint(topology_stamp_); }
 
   /// Flat payload views for solver inner loops (index by arc id, unchecked).
   [[nodiscard]] std::span<const i64> costs() const noexcept { return cost_; }
@@ -126,10 +133,25 @@ class BivaluedGraph {
   }
 
  private:
+  static std::uint64_t mint(std::uint64_t& stamp) noexcept {
+    if (stamp == 0) {
+      static std::atomic<std::uint64_t> counter{0};
+      stamp = counter.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+    return stamp;
+  }
+
+  void clear_stamps() noexcept {
+    stamp_ = 0;
+    topology_stamp_ = 0;
+  }
+
   Digraph g_;
   std::vector<i64> cost_;
   std::vector<Rational> time_;
-  mutable std::uint64_t stamp_ = 0;  // 0 = unassigned (see layout_stamp)
+  // 0 = unassigned (see layout_stamp / topology_stamp).
+  mutable std::uint64_t stamp_ = 0;
+  mutable std::uint64_t topology_stamp_ = 0;
 };
 
 }  // namespace kp

@@ -181,13 +181,14 @@ bool is_infeasible_circuit(i64 cost, const Rational& time) {
   return time.sign() < 0 || (time.is_zero() && cost > 0);
 }
 
-/// (Re)derives the scratch's SCC-restricted cyclic core, its CSR adjacency
-/// and its scaled H payloads for `bg` (whose Digraph must be finalized),
-/// recording the warm key so a later stamp-matching solve or positive-cycle
-/// check reuses them.
+/// (Re)derives the scratch's SCC-restricted cyclic core and its CSR
+/// adjacency for `bg` (whose Digraph must be finalized), recording the
+/// topology key so a later topology-matching solve or positive-cycle check
+/// keeps them. The scaled H is left stale: scale_cyclic_times follows.
 void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch) {
   const Digraph& g = bg.graph();
   const std::int32_t n = g.node_count();
+  scratch.warm_topology = 0;
   scratch.warm_stamp = 0;
   // Circuits live inside strongly connected components; restrict the
   // cycle search to arcs whose endpoints share an SCC.
@@ -206,8 +207,16 @@ void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch) {
     build_csr_index(n, scratch.cyclic, [](const ArcRef& a) { return a.src; },
                     scratch.out_offsets, scratch.out_ids, scratch.cursor);
   }
-  // Scale H once per layout: M = lcm of the cyclic H denominators and
-  // T(e) = H(e)·M, or no integer path (M = 0) when either overflows.
+  scratch.warm_topology = bg.topology_stamp();
+  scratch.warm_nodes = n;
+  scratch.warm_arcs = g.arc_count();
+}
+
+/// Scales H over the scratch's cyclic core: M = lcm of the cyclic H
+/// denominators and T(e) = H(e)·M, or no integer path (M = 0) when either
+/// overflows. Records the layout key so a later layout-matching call keeps
+/// them.
+void scale_cyclic_times(const BivaluedGraph& bg, McrpScratch& scratch) {
   const std::span<const Rational> times = bg.times();
   scratch.scaled_time.resize(scratch.cyclic.size());
   try {
@@ -225,17 +234,20 @@ void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch) {
     scratch.time_scale = 0;
   }
   scratch.warm_stamp = bg.layout_stamp();
-  scratch.warm_nodes = n;
-  scratch.warm_arcs = g.arc_count();
 }
 
-/// True when the scratch's cyclic core, CSR and scaled H were derived from a
-/// graph with this exact layout (node/arc topology and H payloads; L costs
-/// free).
-bool core_reusable(const BivaluedGraph& bg, const McrpScratch& scratch) {
-  return scratch.warm_stamp != 0 && scratch.warm_stamp == bg.layout_stamp() &&
-         scratch.warm_nodes == bg.graph().node_count() &&
-         scratch.warm_arcs == bg.graph().arc_count();
+/// Brings the scratch's cyclic core, its CSR and its scaled H up to date
+/// for `bg`. With `reuse`, the core and CSR are kept when the scratch
+/// derived them from a graph of this topology (same arc list; payloads
+/// free), and the scaled H is kept when the layout stamp matches too (same
+/// H; only L may have moved). Without it everything is derived afresh.
+void prepare_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch, bool reuse) {
+  const bool same_topology = reuse && scratch.warm_topology != 0 &&
+                             scratch.warm_topology == bg.topology_stamp() &&
+                             scratch.warm_nodes == bg.graph().node_count() &&
+                             scratch.warm_arcs == bg.graph().arc_count();
+  if (!same_topology) derive_cyclic_core(bg, scratch);
+  if (scratch.warm_stamp != bg.layout_stamp()) scale_cyclic_times(bg, scratch);
 }
 
 /// True when `arcs`, ids recorded on some earlier graph, form a simple
@@ -278,14 +290,13 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   bg.graph().finalize();
   const std::span<const i64> costs = bg.costs();
 
-  // The cyclic core, its CSR and its scaled H depend only on topology and
-  // H, which the layout stamp certifies unchanged (only L costs may have
-  // been rewritten via set_cost since the scratch last saw this graph) —
-  // so a warm solve skips the SCC pass and every derivation. Recorded
-  // unconditionally after a cold derivation so a later warm call can reuse
-  // it.
+  // The cyclic core and its CSR depend only on the topology, and its scaled
+  // H on H as well: a warm solve keeps the former under a matching
+  // topology stamp and re-derives only M and T(e) when the layout stamp
+  // moved (set_time). Recorded unconditionally after a cold derivation so a
+  // later warm call can reuse it.
   const bool warm = options.howard_warm_start;
-  if (!warm || !core_reusable(bg, scratch)) derive_cyclic_core(bg, scratch);
+  prepare_cyclic_core(bg, scratch, warm);
   auto& cyclic = scratch.cyclic;
 
   Rational lambda{0};
@@ -373,7 +384,7 @@ bool has_positive_cycle(const BivaluedGraph& bg, std::span<const i64> costs,
   if (costs.size() != static_cast<std::size_t>(g.arc_count())) {
     throw SolverError("has_positive_cycle: one cost per arc required");
   }
-  if (!core_reusable(bg, scratch)) derive_cyclic_core(bg, scratch);
+  prepare_cyclic_core(bg, scratch, true);
   return !scratch.cyclic.empty() && positive_cycle_at(bg, costs, lambda, scratch);
 }
 

@@ -30,10 +30,12 @@
 // in between. Its exact ratio is then a valid lower bound, so the loop
 // starts from it and, on neighbouring points of a parametric sweep, often
 // only confirms it. A seed that is an infeasibility witness is returned as
-// one. Under a matching layout stamp the solve also keeps the cyclic core,
-// its CSR and its scaled H. The loop still runs to quiescence, so values
-// are exact either way; only which co-critical circuit is reported (and
-// the iteration counts) can change.
+// one. Under a matching topology stamp the solve also keeps the SCC pass's
+// result — the cyclic core — and its CSR; under a matching layout stamp it
+// keeps the scaled H (M and T(e)) too, and otherwise re-derives only those
+// (BivaluedGraph::topology_stamp / layout_stamp). The loop still runs to
+// quiescence, so values are exact either way; only which co-critical
+// circuit is reported (and the iteration counts) can change.
 //
 // The scratch-based overload reuses every internal buffer (SCC state,
 // relaxation labels, queues, cycle extraction) and the result object's
@@ -81,16 +83,18 @@ struct McrpResult {
 };
 
 struct McrpOptions {
-  /// Reuse the cyclic core under a matching stamp and seed from the
-  /// previous circuit. The cyclic core, its CSR adjacency and scaled H are
-  /// kept when the graph's layout stamp matches the scratch's
-  /// (BivaluedGraph::layout_stamp: same node/arc layout and H payloads, L
-  /// possibly rewritten via set_cost). The scratch's previous critical
-  /// circuit seeds λ when its arc ids form a simple circuit of this graph,
-  /// stamp or no stamp. Values are unaffected — the exact improvement loop
-  /// still runs to quiescence — only iteration counts and which co-critical
-  /// circuit is reported can change. Off by default; the parametric-sweep
-  /// service turns it on.
+  /// Reuse the cyclic core under matching stamps and seed from the
+  /// previous circuit. The cyclic core and its CSR adjacency are kept when
+  /// the graph's topology stamp matches the scratch's
+  /// (BivaluedGraph::topology_stamp: same node count and arc list, payloads
+  /// possibly rewritten via set_cost / set_time); the scaled H — M and
+  /// T(e) — is kept only when the layout stamp matches as well (same H, L
+  /// possibly rewritten via set_cost) and re-derived otherwise. The
+  /// scratch's previous critical circuit seeds λ when its arc ids form a
+  /// simple circuit of this graph, stamp or no stamp. Values are
+  /// unaffected — the exact improvement loop still runs to quiescence —
+  /// only iteration counts and which co-critical circuit is reported can
+  /// change. Off by default; the parametric-sweep service turns it on.
   bool howard_warm_start = false;
   /// Fill McrpResult::potentials.
   bool compute_potentials = true;
@@ -115,7 +119,7 @@ struct McrpScratch {
   // Per cyclic arc: T(e) = H(e)·time_scale, where time_scale is the lcm M
   // of the H denominators over the cyclic core (0 when M or some T(e)
   // overflows i128: the layout then has no integer path). Both belong to
-  // the warm stamp below, since set_cost rewrites only L.
+  // the layout key below: set_cost leaves them valid, set_time does not.
   std::vector<i128> scaled_time;
   i128 time_scale = 0;
 
@@ -148,15 +152,17 @@ struct McrpScratch {
   std::vector<std::int32_t> critical;
   std::vector<std::int8_t> seen;
 
-  // Warm-start key for the structural state (`cyclic`, its CSR and scaled
-  // H): the layout stamp and sizes of the graph they were derived from.
-  // 0 = not reusable.
+  // Warm-start keys for the structural state: the topology stamp and sizes
+  // of the graph `cyclic` and its CSR were derived from, and the layout
+  // stamp of the graph the scaled H was derived from. 0 = not reusable.
+  std::uint64_t warm_topology = 0;
   std::uint64_t warm_stamp = 0;
   std::int32_t warm_nodes = 0;
   std::int32_t warm_arcs = 0;
 
   /// Forces the next solve fully cold: no reused core, no seed.
   void reset_warm_start() noexcept {
+    warm_topology = 0;
     warm_stamp = 0;
     critical.clear();
   }
@@ -175,9 +181,10 @@ void solve_max_cycle_ratio(const BivaluedGraph& g, const McrpOptions& options,
 /// candidate ratio λ stays maximal along a parameter ray: no circuit beats
 /// λ iff none is positive under w. Runs the solver's positive-cycle kernel
 /// on scaled i128 labels (Rational only on overflow) over the scratch's
-/// SCC-restricted cyclic core, which it reuses when the graph's layout stamp
-/// matches what the scratch last derived (any prior solve on `g` records
-/// it) and derives cold otherwise.
+/// SCC-restricted cyclic core. Like a warm solve, it keeps the core and its
+/// CSR when the graph's topology stamp matches what the scratch last
+/// derived (any prior solve on `g` records it), keeps the scaled H when the
+/// layout stamp matches too, and derives the rest afresh.
 [[nodiscard]] bool has_positive_cycle(const BivaluedGraph& g, std::span<const i64> costs,
                                       const Rational& lambda, McrpScratch& scratch);
 

@@ -19,6 +19,12 @@
 //      of add_serialization_buffers(g), round by round and through
 //      kiter_throughput, with identical pricing and repetition vector —
 //      including graphs where some task already has its own self-loop.
+//   7. Same-layout rounds (no task's K changes) under marking, duration and
+//      q-preserving rate deltas, alone and mixed: every build matches a
+//      fresh one, both the in-place rewrite and the splice from the aside
+//      graph occur, and a warm MCRP solve on each in-place graph — which
+//      keeps the cyclic core by topology and rescales H — equals a cold
+//      solve of the fresh build down to the circuit and iteration counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -477,6 +483,121 @@ TEST(Incremental, WorkspaceReuseAcrossDifferentGraphsMatchesFreshRuns) {
     EXPECT_EQ(with_shared.k, fresh.k) << "round " << round;
     EXPECT_EQ(with_shared.rounds, fresh.rounds) << "round " << round;
   }
+}
+
+
+// ---- 7. same-layout rounds: in place, or spliced from the aside graph --------
+
+/// A random positive divisor of q.
+i64 random_divisor(Rng& rng, i64 q) {
+  std::vector<i64> divisors;
+  for (i64 d = 1; d <= q; ++d) {
+    if (q % d == 0) divisors.push_back(d);
+  }
+  return divisors[static_cast<std::size_t>(rng.uniform(0, static_cast<i64>(divisors.size()) - 1))];
+}
+
+/// A delta of `g` that keeps its repetition vector: a marking edit (kind
+/// 0), one task's durations (1), one buffer's rates scaled by a common
+/// factor or rotated by a phase — both keep the balance equations (2) — or
+/// all three (3).
+GraphDelta same_layout_delta(Rng& rng, const CsdfGraph& g, int kind) {
+  GraphDelta d;
+  if (kind == 0 || kind == 3) {
+    const auto b = static_cast<BufferId>(rng.uniform(0, g.buffer_count() - 1));
+    d.markings.push_back({b, std::max<i64>(0, g.buffer(b).initial_tokens + rng.uniform(-2, 3))});
+  }
+  if (kind == 1 || kind == 3) {
+    const auto t = static_cast<TaskId>(rng.uniform(0, g.task_count() - 1));
+    std::vector<i64> durations;
+    for (std::int32_t p = 0; p < g.phases(t); ++p) durations.push_back(rng.uniform(0, 9));
+    d.exec_times.push_back({t, durations});
+  }
+  if (kind == 2 || kind == 3) {
+    const auto b = static_cast<BufferId>(rng.uniform(0, g.buffer_count() - 1));
+    std::vector<i64> prod = g.buffer(b).prod;
+    std::vector<i64> cons = g.buffer(b).cons;
+    if (rng.uniform(0, 1) == 0) {
+      const i64 factor = rng.uniform(2, 3);
+      for (i64& r : prod) r *= factor;
+      for (i64& r : cons) r *= factor;
+    } else {
+      std::rotate(prod.begin(), prod.begin() + 1, prod.end());
+      std::rotate(cons.begin(), cons.begin() + 1, cons.end());
+    }
+    d.rates.push_back({b, prod, cons});
+  }
+  return d;
+}
+
+TEST(Incremental, SameLayoutRoundsRewriteInPlaceOrSpliceFromAside) {
+  McrpOptions warm_options;
+  warm_options.howard_warm_start = true;
+  warm_options.compute_potentials = false;
+  McrpOptions cold_options = warm_options;
+  cold_options.howard_warm_start = false;
+
+  i64 in_place = 0;  // in-place rounds that rewrote a re-enumerated span
+  i64 spliced = 0;   // same-layout rounds that fell back to the splice
+  int checked = 0;
+  for (u64 seed = 500; checked < 60; ++seed) {
+    Rng rng(seed);
+    const CsdfGraph base = apply_default_buffer_capacities(random_csdf(rng, small_graphs()), 1, 1);
+    const RepetitionVector rv = compute_repetition_vector(base);
+    ASSERT_TRUE(rv.consistent);
+    // One K of random divisors of q for every variant: the node layout
+    // never changes, so every round after the first is a same-layout one.
+    std::vector<i64> k;
+    for (TaskId t = 0; t < base.task_count(); ++t) k.push_back(random_divisor(rng, rv.of(t)));
+    if (constraint_pair_count(base, k) > 20000) continue;
+
+    ConstraintGraph cg;
+    ConstraintGraphCache cache;
+    McrpScratch warm;
+    McrpResult solved;
+    ASSERT_TRUE(build_constraint_graph_incremental(base, rv, k, cg, cache));
+    solve_max_cycle_ratio(cg.graph, warm_options, warm, solved);
+    ConstraintGraph fresh;
+    for (int step = 0; step < 16; ++step) {
+      const std::string context = "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const CsdfGraph variant = make_variant(base, same_layout_delta(rng, base, step % 4));
+      ASSERT_EQ(compute_repetition_vector(variant).q, rv.q) << context;
+
+      const i64 in_place_before = cache.payload_rounds;
+      const i64 spliced_before = cache.patched_rounds;
+      const i64 rebuilt_before = cache.rebuilt_rounds;
+      ASSERT_TRUE(build_constraint_graph_incremental(variant, rv, k, cg, cache)) << context;
+      ASSERT_TRUE(build_constraint_graph_into(variant, rv, k, fresh));
+      expect_identical(cg, fresh, context);
+      if (cache.rebuilt_rounds != rebuilt_before) {
+        EXPECT_EQ(cache.last_regenerated_buffers, variant.buffer_count())
+            << context << ": a same-layout round rebuilds only when every buffer moved";
+      }
+
+      if (cache.payload_rounds == in_place_before) {
+        spliced += cache.patched_rounds - spliced_before;
+        solve_max_cycle_ratio(cg.graph, warm_options, warm, solved);
+        continue;
+      }
+      in_place += cache.last_regenerated_buffers > 0 ? 1 : 0;
+      // Warm on structure, not on the seed: the scratch still holds the
+      // previous graph's core under this topology stamp, and with the seed
+      // dropped the iteration counts are comparable with a cold solve.
+      warm.critical.clear();
+      solve_max_cycle_ratio(cg.graph, warm_options, warm, solved);
+      McrpScratch cold_scratch;
+      McrpResult cold;
+      solve_max_cycle_ratio(fresh.graph, cold_options, cold_scratch, cold);
+      EXPECT_EQ(solved.status, cold.status) << context;
+      EXPECT_EQ(solved.ratio, cold.ratio) << context;
+      EXPECT_EQ(solved.critical_cycle, cold.critical_cycle) << context;
+      EXPECT_EQ(solved.iterations, cold.iterations) << context;
+      EXPECT_EQ(solved.exact_iterations, cold.exact_iterations) << context;
+    }
+    ++checked;
+  }
+  EXPECT_GT(in_place, 0) << "some re-enumerated span must keep its shape";
+  EXPECT_GT(spliced, 0) << "some re-enumerated span must change its shape";
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Tests for K-Iter (Algorithm 1) — the paper's contribution — including
 // the central cross-validation property: K-Iter's exact throughput equals
-// symbolic execution's on every random live CSDF graph.
+// symbolic execution's on every random live CSDF graph — and the resource
+// guard's lazy pricing, one case per branch.
 #include <gtest/gtest.h>
 
+#include "core/constraints.hpp"
 #include "core/kiter.hpp"
 #include "core/verify.hpp"
+#include "gen/csdf_apps.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/random_csdf.hpp"
 #include "model/transform.hpp"
@@ -101,6 +104,100 @@ TEST(KIter, ResourceLimitAfterFirstRoundKeepsBound) {
   ASSERT_EQ(r.status, ThroughputStatus::ResourceLimit);
   ASSERT_TRUE(r.has_feasible_bound);
   EXPECT_EQ(r.period, Rational{18});  // the 1-periodic achievable bound
+}
+
+// ---- the resource guard prices lazily ----------------------------------------
+//
+// A round is refused only when the pair count, then the stride estimate,
+// then (with a warm cache) the patch estimate each exceed
+// max_constraint_pairs. Each case below sets the cap from an uncapped run's
+// own prices so that exactly one branch decides a round; dropping that
+// branch from the guard fails the case.
+
+/// What the guard sees before each round of an uncapped run: the candidate
+/// pair count, the stride estimate, and the patch estimate against the
+/// cache the previous round left (-1 before the first, cold round).
+struct RoundPrice {
+  std::vector<i64> k;
+  i128 pairs = 0;
+  i128 stride = 0;
+  i128 patch = -1;
+};
+
+std::vector<RoundPrice> price_rounds(const CsdfGraph& g) {
+  const RepetitionVector rv = compute_repetition_vector(g);
+  KIterOptions options;
+  options.record_trace = true;
+  const KIterResult traced = kiter_throughput(g, rv, options);
+  KIterWorkspace ws;
+  std::vector<RoundPrice> out;
+  for (const KIterRound& round : traced.trace) {
+    RoundPrice price{round.k, constraint_pair_count(g, round.k),
+                     constraint_work_estimate(g, round.k)};
+    if (ws.cache.valid) {
+      price.patch = constraint_patch_work_estimate(g, rv, ws.constraints.k, round.k, ws.cache);
+    }
+    out.push_back(price);
+    (void)evaluate_k_periodic_round_incremental(g, rv, round.k, McrpOptions{}, ws);
+  }
+  return out;
+}
+
+TEST(KIter, GuardAdmitsARoundWhoseStrideEstimateFits) {
+  // gcd_ring(64)'s second round enumerates 12416 candidate pairs but the
+  // stride generator's estimate is 707: a cap at the estimate admits it.
+  // Non-incremental, so no patch price can admit it instead.
+  const CsdfGraph g = gcd_ring(64);
+  const std::vector<RoundPrice> prices = price_rounds(g);
+  ASSERT_EQ(prices.size(), 2u);
+  KIterOptions options;
+  options.incremental = false;
+  options.max_constraint_pairs = prices[1].stride;
+  ASSERT_LE(prices[0].pairs, options.max_constraint_pairs);
+  ASSERT_GT(prices[1].pairs, options.max_constraint_pairs);
+
+  const KIterResult r = kiter_throughput(g, options);
+  ASSERT_EQ(r.status, ThroughputStatus::Optimal);
+  EXPECT_EQ(r.rounds, 2);
+  EXPECT_EQ(r.period, kiter_throughput(g).period);
+}
+
+TEST(KIter, GuardAdmitsAPatchRoundWhosePatchEstimateFits) {
+  // Serialized figure 2: the third round grows only task b's K, so patching
+  // the second round's graph is priced below both full-build models.
+  const CsdfGraph g = serialized_figure2();
+  const std::vector<RoundPrice> prices = price_rounds(g);
+  ASSERT_EQ(prices.size(), 3u);
+  KIterOptions options;
+  options.max_constraint_pairs = prices[2].patch;
+  ASSERT_GT(prices[2].pairs, options.max_constraint_pairs);
+  ASSERT_GT(prices[2].stride, options.max_constraint_pairs);
+  ASSERT_LE(std::min(prices[1].pairs, prices[1].stride), options.max_constraint_pairs);
+
+  const KIterResult r = kiter_throughput(g, options);
+  ASSERT_EQ(r.status, ThroughputStatus::Optimal);
+  EXPECT_EQ(r.rounds, 3);
+  EXPECT_EQ(r.period, Rational{13});
+}
+
+TEST(KIter, GuardRefusesARoundEveryPriceExceeds) {
+  // One below the third round's patch price, all three models exceed the
+  // cap: the run stops before that round with the second round's bound.
+  const CsdfGraph g = serialized_figure2();
+  const std::vector<RoundPrice> prices = price_rounds(g);
+  ASSERT_EQ(prices.size(), 3u);
+  KIterOptions options;
+  options.max_constraint_pairs = prices[2].patch - 1;
+  ASSERT_GT(prices[2].stride, prices[2].patch);
+  ASSERT_GT(prices[2].pairs, prices[2].patch);
+
+  const KIterResult r = kiter_throughput(g, options);
+  ASSERT_EQ(r.status, ThroughputStatus::ResourceLimit);
+  EXPECT_FALSE(r.cancelled);
+  EXPECT_EQ(r.rounds, 2);
+  ASSERT_TRUE(r.has_feasible_bound);
+  EXPECT_EQ(r.period, Rational{16});
+  EXPECT_EQ(r.k, prices[2].k);
 }
 
 TEST(KIter, UpdatePoliciesAgreeOnFigure2) {

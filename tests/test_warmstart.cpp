@@ -14,8 +14,10 @@
 //      arcs that no longer chain, a node visited twice) is dropped; a seed
 //      turned infeasible by an H edit is the Infeasible witness; after
 //      reset_warm_start() the solve is cold down to its critical circuit;
-//      and the layout stamp gates structural reuse (set_cost preserves it,
-//      structural mutations clear it, copies share it).
+//      and the stamps gate structural reuse (set_cost preserves both,
+//      set_time only the topology stamp, structural mutations clear both,
+//      copies share both) — a warm solve after set_time keeps the core and
+//      rescales H.
 //   5. Service lifecycle: a Deadlock variant mid-sweep resets the worker's
 //      warm state, so the following variant matches a cold run bit-for-bit;
 //      warm analyze_variants is value-identical to cold per-variant runs at
@@ -343,26 +345,76 @@ TEST(WarmStart, LayoutStampGatesReuse) {
   g.add_arc(2, 0, 2, Rational(1));
 
   const std::uint64_t stamp = g.layout_stamp();
+  const std::uint64_t topology = g.topology_stamp();
   EXPECT_NE(stamp, 0u);
+  EXPECT_NE(topology, 0u);
   EXPECT_EQ(g.layout_stamp(), stamp) << "the stamp is stable across queries";
+  EXPECT_EQ(g.topology_stamp(), topology);
 
   g.set_cost(1, 9);
   EXPECT_EQ(g.layout_stamp(), stamp) << "a cost rewrite preserves the stamp";
+  EXPECT_EQ(g.topology_stamp(), topology) << "a cost rewrite preserves the topology";
 
-  // Copies share the stamp: their layout is identical by construction.
+  // Copies share both stamps: their layout is identical by construction.
   BivaluedGraph copy = g;
   EXPECT_EQ(copy.layout_stamp(), stamp);
+  EXPECT_EQ(copy.topology_stamp(), topology);
 
-  // Any structural mutation mints a fresh stamp on the next query.
+  // A time rewrite moves the layout stamp (it covers H) but not the
+  // topology stamp (endpoints stay).
+  g.set_time(1, Rational::of(1, 2));
+  const std::uint64_t retimed = g.layout_stamp();
+  EXPECT_NE(retimed, stamp);
+  EXPECT_EQ(g.topology_stamp(), topology);
+
+  // Every structural mutation mints fresh stamps on the next query.
   g.add_arc(0, 2, 1, Rational(1));
+  EXPECT_NE(g.layout_stamp(), retimed);
   EXPECT_NE(g.layout_stamp(), stamp);
+  EXPECT_NE(g.topology_stamp(), topology);
   const std::uint64_t grown = g.layout_stamp();
+  const std::uint64_t grown_topology = g.topology_stamp();
   g.reset(3);
   EXPECT_NE(g.layout_stamp(), grown);
   EXPECT_NE(g.layout_stamp(), stamp);
+  EXPECT_NE(g.topology_stamp(), grown_topology);
+  EXPECT_NE(g.topology_stamp(), topology);
+  const std::uint64_t rewound = g.layout_stamp();
+  const std::uint64_t rewound_topology = g.topology_stamp();
+  g.append_arcs_shifted(copy, 0, copy.arc_count(), 0, 0);
+  EXPECT_NE(g.layout_stamp(), rewound);
+  EXPECT_NE(g.topology_stamp(), rewound_topology);
+  EXPECT_NE(g.topology_stamp(), topology) << "a spliced copy is a new topology";
 
   // The mutated original never re-collides with its copy.
   EXPECT_EQ(copy.layout_stamp(), stamp);
+  EXPECT_EQ(copy.topology_stamp(), topology);
+}
+
+TEST(WarmStart, WarmSolveAfterSetTimeRescalesH) {
+  // Two 2-cycles with integral H (M = 1): 0⇄1 of ratio 8/2 is critical,
+  // 1⇄2 has ratio 6/2. Setting H = 1/3 on arc 1→2 keeps the topology but
+  // introduces a new denominator (M = 3) and lifts 1⇄2 to 6/(4/3) = 9/2.
+  BivaluedGraph g = make_bivalued(
+      3, {{0, 1, 5, Rational{1}}, {1, 0, 3, Rational{1}}, {1, 2, 4, Rational{1}},
+          {2, 1, 2, Rational{1}}});
+  McrpOptions warm;
+  warm.howard_warm_start = true;
+  McrpScratch scratch;
+  McrpResult r;
+  solve_max_cycle_ratio(g, warm, scratch, r);
+  ASSERT_EQ(r.ratio, Rational{4});
+  ASSERT_EQ(scratch.time_scale, 1);
+
+  const std::uint64_t topology = g.topology_stamp();
+  g.set_time(2, Rational::of(1, 3));
+  ASSERT_EQ(g.topology_stamp(), topology) << "the warm solve must keep the core";
+  solve_max_cycle_ratio(g, warm, scratch, r);
+  expect_matches_cold(r, g, "retimed");
+  EXPECT_EQ(r.ratio, Rational::of(9, 2));
+  EXPECT_EQ(scratch.time_scale, 3) << "M must be re-derived for the new denominator";
+  EXPECT_TRUE(has_positive_cycle(g, g.costs(), Rational{4}, scratch));
+  EXPECT_FALSE(has_positive_cycle(g, g.costs(), Rational::of(9, 2), scratch));
 }
 
 // ---- 5. service warm-state lifecycle ----------------------------------------
