@@ -137,34 +137,70 @@ bool positive_cycle(std::int32_t n, McrpScratch& s, const std::vector<Label>& w,
   return false;
 }
 
+/// max|L(e)| over the scratch's cyclic core (0 when `costs` is empty).
+i128 max_cyclic_cost(std::span<const i64> costs, const McrpScratch& s) {
+  if (costs.empty()) return 0;
+  u64 max_cost = 0;
+  for (const ArcRef& a : s.cyclic) {
+    const i64 l = costs[static_cast<std::size_t>(a.id)];
+    max_cost = std::max(max_cost, l < 0 ? u64{0} - static_cast<u64>(l) : static_cast<u64>(l));
+  }
+  return max_cost;
+}
+
 /// True iff some circuit of the cyclic core is positive under
 /// w(e) = L(e) - λ·H(e), where L(e) = costs[e], or L ≡ 0 when `costs` is
-/// empty; one such circuit is left in scratch.bf_cycle. For λ = p/q the
-/// kernel runs on W(e) = L(e)·q·M - p·T(e) = (q·M)·w(e) in i128, and on
-/// Rational weights only when the layout has no scale M or some W exceeds
-/// the headroom that keeps n+2 of them summable.
-bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs,
+/// empty; one such circuit is left in scratch.bf_cycle. `max_cost` caches
+/// max_cyclic_cost(costs, s) across the calls of one solve (negative: not
+/// computed yet). For λ = p/q the kernel runs on
+/// W(e) = L(e)·q·M - p·T(e) = (q·M)·w(e), at the narrowest width whose n+2
+/// headroom holds every W: i64 when the per-call bound
+/// max|L|·q·M + |p|·max|T| <= INT64_MAX/(n+2) holds, else i128 when each W
+/// passes its check, else Rational (also when the layout has no scale M).
+/// max|L| is only computed when the time term alone leaves room.
+bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs, i128& max_cost,
                        const Rational& lambda, McrpScratch& s) {
   const std::int32_t n = bg.node_count();
   const std::size_t m = s.cyclic.size();
   if (s.time_scale != 0) {
-    try {
-      constexpr i128 k_i128_max = static_cast<i128>((~static_cast<unsigned __int128>(0)) >> 1);
-      const i128 limit = k_i128_max / (i128{n} + 2);
-      const i128 qm = checked_mul(lambda.den(), s.time_scale);
-      s.int_weights.resize(m);
+    const i64 limit64 = INT64_MAX / (i64{n} + 2);
+    i128 qm = 0;
+    i128 time_term = 0;
+    i128 cost_term = 0;
+    i128 bound = 0;
+    const bool time_fits = try_mul(lambda.den(), s.time_scale, qm) &&
+                           try_mul(abs128(lambda.num()), s.max_scaled_time, time_term) &&
+                           time_term <= limit64;
+    if (time_fits && max_cost < 0) max_cost = max_cyclic_cost(costs, s);
+    if (time_fits && try_mul(max_cost, qm, cost_term) && try_add(cost_term, time_term, bound) &&
+        bound <= limit64) {
+      // Each term is within the bound, so a factor that does not fit an
+      // i64 meets a zero co-factor, and the (modular) narrowing is exact.
+      const auto qm64 = static_cast<i64>(qm);
+      const auto p64 = static_cast<i64>(lambda.num());
+      s.weights64.resize(m);
       for (std::size_t i = 0; i < m; ++i) {
-        const i128 l = costs.empty()
-                           ? 0
-                           : checked_mul(i128{costs[static_cast<std::size_t>(s.cyclic[i].id)]}, qm);
-        const i128 w = checked_sub(l, checked_mul(lambda.num(), s.scaled_time[i]));
-        if (w > limit || w < -limit) throw_overflow("positive-cycle weight headroom");
-        s.int_weights[i] = w;
+        const i64 l = costs.empty() ? 0 : costs[static_cast<std::size_t>(s.cyclic[i].id)];
+        s.weights64[i] = l * qm64 - p64 * static_cast<i64>(s.scaled_time[i]);
       }
-      return positive_cycle(n, s, s.int_weights, s.int_dist);
-    } catch (const OverflowError&) {
-      // Scaled weights too large: fall through to Rational labels.
+      return positive_cycle(n, s, s.weights64, s.dist64);
     }
+    // Per arc, the products only need to be exact (INT128_MIN is a valid
+    // intermediate here); the headroom check then bounds W itself.
+    const i128 limit = k_i128_max / (i128{n} + 2);
+    bool fits = !__builtin_mul_overflow(lambda.den(), s.time_scale, &qm);
+    s.weights128.resize(m);
+    for (std::size_t i = 0; fits && i < m; ++i) {
+      const i64 l = costs.empty() ? 0 : costs[static_cast<std::size_t>(s.cyclic[i].id)];
+      i128 cost = 0;
+      i128 time = 0;
+      i128& w = s.weights128[i];
+      fits = !__builtin_mul_overflow(i128{l}, qm, &cost) &&
+             !__builtin_mul_overflow(lambda.num(), s.scaled_time[i], &time) &&
+             !__builtin_sub_overflow(cost, time, &w) && w <= limit && w >= -limit;
+    }
+    if (fits) return positive_cycle(n, s, s.weights128, s.dist128);
+    // Scaled weights too large: fall through to Rational labels.
   }
   const std::span<const Rational> times = bg.times();
   s.weights.resize(m);
@@ -184,7 +220,8 @@ bool is_infeasible_circuit(i64 cost, const Rational& time) {
 /// (Re)derives the scratch's SCC-restricted cyclic core and its CSR
 /// adjacency for `bg` (whose Digraph must be finalized), recording the
 /// topology key so a later topology-matching solve or positive-cycle check
-/// keeps them. The scaled H is left stale: scale_cyclic_times follows.
+/// keeps them. The scaled H is left stale: scale_cyclic_times follows, and
+/// re-derives M.
 void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch) {
   const Digraph& g = bg.graph();
   const std::int32_t n = g.node_count();
@@ -212,42 +249,73 @@ void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch) {
   scratch.warm_arcs = g.arc_count();
 }
 
-/// Scales H over the scratch's cyclic core: M = lcm of the cyclic H
-/// denominators and T(e) = H(e)·M, or no integer path (M = 0) when either
-/// overflows. Records the layout key so a later layout-matching call keeps
-/// them.
-void scale_cyclic_times(const BivaluedGraph& bg, McrpScratch& scratch) {
+/// Scales T(e) = num·(M/den) over the cyclic core under the scratch's M,
+/// with max|T(e)|. Unless `fresh` (every arc scaled anew), an arc whose H
+/// is the one it was scaled from keeps its T(e), one whose H kept its
+/// denominator costs one multiply by the kept factor M/den, and a new
+/// denominator that divides M gets a fresh factor. False (state partly
+/// rewritten) when some denominator does not divide M or some T(e)
+/// overflows: M must then be re-derived.
+bool rescale_cyclic_times(std::span<const Rational> times, McrpScratch& s, bool fresh) {
+  i128 max_time = 0;
+  for (std::size_t i = 0; i < s.cyclic.size(); ++i) {
+    const Rational& h = times[static_cast<std::size_t>(s.cyclic[i].id)];
+    Rational& from = s.scaled_from[i];
+    if (fresh || h != from) {
+      if (fresh || h.den() != from.den()) {
+        if (!fresh && s.time_scale % h.den() != 0) return false;
+        s.scale_factor[i] = s.time_scale / h.den();
+      }
+      if (!try_mul(h.num(), s.scale_factor[i], s.scaled_time[i])) return false;
+      from = h;
+    }
+    max_time = std::max(max_time, abs128(s.scaled_time[i]));
+  }
+  s.max_scaled_time = max_time;
+  return true;
+}
+
+/// Scales H over the scratch's cyclic core. With `keep_scale` (same
+/// topology as the scale was derived on) the kept M is tried first;
+/// otherwise, or when it does not cover the current denominators, M is
+/// re-derived as their lcm, or set to 0 (no integer path) when M or some
+/// T(e) overflows. Records the layout key so a later layout-matching call
+/// keeps the result.
+void scale_cyclic_times(const BivaluedGraph& bg, McrpScratch& s, bool keep_scale) {
   const std::span<const Rational> times = bg.times();
-  scratch.scaled_time.resize(scratch.cyclic.size());
+  s.warm_stamp = bg.layout_stamp();
+  if (keep_scale && s.time_scale != 0 && rescale_cyclic_times(times, s, false)) return;
+  const std::size_t m = s.cyclic.size();
+  s.scaled_time.resize(m);
+  s.scaled_from.resize(m);
+  s.scale_factor.resize(m);
   try {
     i128 scale = 1;
-    for (const ArcRef& a : scratch.cyclic) {
+    for (const ArcRef& a : s.cyclic) {
       const i128 den = times[static_cast<std::size_t>(a.id)].den();
       if (scale % den != 0) scale = lcm128(scale, den);
     }
-    for (std::size_t i = 0; i < scratch.cyclic.size(); ++i) {
-      const Rational& h = times[static_cast<std::size_t>(scratch.cyclic[i].id)];
-      scratch.scaled_time[i] = checked_mul(h.num(), scale / h.den());
-    }
-    scratch.time_scale = scale;
+    s.time_scale = scale;
   } catch (const OverflowError&) {
-    scratch.time_scale = 0;
+    s.time_scale = 0;
+    return;
   }
-  scratch.warm_stamp = bg.layout_stamp();
+  if (!rescale_cyclic_times(times, s, true)) s.time_scale = 0;
 }
 
 /// Brings the scratch's cyclic core, its CSR and its scaled H up to date
 /// for `bg`. With `reuse`, the core and CSR are kept when the scratch
 /// derived them from a graph of this topology (same arc list; payloads
 /// free), and the scaled H is kept when the layout stamp matches too (same
-/// H; only L may have moved). Without it everything is derived afresh.
+/// H; only L may have moved), or else rescaled under the kept M. Without it
+/// everything is derived afresh.
 void prepare_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch, bool reuse) {
   const bool same_topology = reuse && scratch.warm_topology != 0 &&
                              scratch.warm_topology == bg.topology_stamp() &&
                              scratch.warm_nodes == bg.graph().node_count() &&
                              scratch.warm_arcs == bg.graph().arc_count();
   if (!same_topology) derive_cyclic_core(bg, scratch);
-  if (scratch.warm_stamp != bg.layout_stamp()) scale_cyclic_times(bg, scratch);
+  if (scratch.warm_stamp != bg.layout_stamp()) scale_cyclic_times(bg, scratch, same_topology);
 }
 
 /// True when `arcs`, ids recorded on some earlier graph, form a simple
@@ -323,8 +391,9 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   }
 
   if (!cyclic.empty()) {
+    i128 max_cost = -1;
     for (int iter = 0; iter < options.max_iterations; ++iter) {
-      if (!positive_cycle_at(bg, costs, lambda, scratch)) break;
+      if (!positive_cycle_at(bg, costs, max_cost, lambda, scratch)) break;
       const i64 lc = bg.cycle_cost(scratch.bf_cycle);
       const Rational hc = bg.cycle_time(scratch.bf_cycle);
       if (is_infeasible_circuit(lc, hc)) {
@@ -353,12 +422,13 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
     // critical circuit (weights +H: λ = -1) so callers can run the
     // optimality test.
     if (lambda.is_zero()) {
-      if (positive_cycle_at(bg, {}, Rational{1}, scratch)) {
+      i128 no_cost = 0;
+      if (positive_cycle_at(bg, {}, no_cost, Rational{1}, scratch)) {
         out.status = McrpStatus::Infeasible;
         out.critical_cycle.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
         return;
       }
-      if (critical.empty() && positive_cycle_at(bg, {}, Rational{-1}, scratch)) {
+      if (critical.empty() && positive_cycle_at(bg, {}, no_cost, Rational{-1}, scratch)) {
         critical.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
       }
     }
@@ -385,7 +455,8 @@ bool has_positive_cycle(const BivaluedGraph& bg, std::span<const i64> costs,
     throw SolverError("has_positive_cycle: one cost per arc required");
   }
   prepare_cyclic_core(bg, scratch, true);
-  return !scratch.cyclic.empty() && positive_cycle_at(bg, costs, lambda, scratch);
+  i128 max_cost = -1;
+  return !scratch.cyclic.empty() && positive_cycle_at(bg, costs, max_cost, lambda, scratch);
 }
 
 void compute_mcrp_potentials(const BivaluedGraph& bg, const Rational& lambda,

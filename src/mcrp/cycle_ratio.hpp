@@ -15,11 +15,28 @@
 // subtree leaves the forest, and an improvement whose source lies in that
 // subtree closes a positive circuit, which is reported at once. Every label
 // is thus the weight of a simple path. Labels are scaled integers: with M
-// the lcm of the H denominators over the cyclic core (computed once per
-// layout stamp) and λ = p/q, an arc weighs W(e) = L(e)·q·M - p·H(e)·M,
+// a common multiple of the H denominators over the cyclic core and
+// λ = p/q, an arc weighs W(e) = L(e)·q·M - p·T(e) with T(e) = H(e)·M,
 // exactly (q·M)·w_λ(e), so every comparison matches a relaxation on
-// rationals. When M or some W leaves no i128 headroom, the same kernel runs
-// on Rational labels instead.
+// rationals. The kernel is one template run at three label widths, chosen
+// per call from the input's magnitudes, each with n+2 headroom so that no
+// label sum can wrap: i64 when one bound per call,
+// max|L|·q·M + |p|·max|T| <= INT64_MAX/(n+2), covers every W (the weight
+// pass is then unchecked machine arithmetic); else i128, with each W
+// checked against the i128 headroom; else, when M or some W does not fit
+// there, Rational labels. Every width visits the same arcs in the same
+// order and reports the same circuit.
+//
+// The scale M is derived as the lcm of the cyclic H denominators and then
+// kept per denominator: the scratch remembers, per cyclic arc, the H it was
+// scaled from and M/den. A layout rewrite that keeps the topology
+// (BivaluedGraph::set_time) leaves an arc with unchanged H as it is,
+// re-multiplies one whose denominator stayed by its kept factor, and gives
+// a new denominator that divides M a fresh factor; only a denominator that
+// does not divide M, a T(e) that overflows, or a topology change re-derives
+// M. A kept M can exceed the lcm of the current denominators; every
+// comparison is homogeneous in M, so that changes no value or circuit — at
+// most it moves a call to a wider label width.
 //
 // Termination: every improvement sets λ to the ratio of a distinct
 // elementary circuit and ratios strictly increase, so the loop is finite.
@@ -32,10 +49,10 @@
 // only confirms it. A seed that is an infeasibility witness is returned as
 // one. Under a matching topology stamp the solve also keeps the SCC pass's
 // result — the cyclic core — and its CSR; under a matching layout stamp it
-// keeps the scaled H (M and T(e)) too, and otherwise re-derives only those
-// (BivaluedGraph::topology_stamp / layout_stamp). The loop still runs to
-// quiescence, so values are exact either way; only which co-critical
-// circuit is reported (and the iteration counts) can change.
+// keeps the scaled H (M and T(e)) too, and otherwise rescales T(e) under
+// the kept M (BivaluedGraph::topology_stamp / layout_stamp). The loop
+// still runs to quiescence, so values are exact either way; only which
+// co-critical circuit is reported (and the iteration counts) can change.
 //
 // The scratch-based overload reuses every internal buffer (SCC state,
 // relaxation labels, queues, cycle extraction) and the result object's
@@ -88,8 +105,9 @@ struct McrpOptions {
   /// the graph's topology stamp matches the scratch's
   /// (BivaluedGraph::topology_stamp: same node count and arc list, payloads
   /// possibly rewritten via set_cost / set_time); the scaled H — M and
-  /// T(e) — is kept only when the layout stamp matches as well (same H, L
-  /// possibly rewritten via set_cost) and re-derived otherwise. The
+  /// T(e) — is kept whole when the layout stamp matches as well (same H, L
+  /// possibly rewritten via set_cost), and otherwise only the rewritten
+  /// arcs are rescaled under the kept M (see the header comment). The
   /// scratch's previous critical circuit seeds λ when its arc ids form a
   /// simple circuit of this graph, stamp or no stamp. Values are
   /// unaffected — the exact improvement loop still runs to quiescence —
@@ -116,22 +134,32 @@ struct McrpScratch {
   SccResult scc_result;
 
   std::vector<ArcRef> cyclic;
-  // Per cyclic arc: T(e) = H(e)·time_scale, where time_scale is the lcm M
-  // of the H denominators over the cyclic core (0 when M or some T(e)
-  // overflows i128: the layout then has no integer path). Both belong to
-  // the layout key below: set_cost leaves them valid, set_time does not.
+  // The scaled H. time_scale is M, a common multiple of the H denominators
+  // over the cyclic core (0 when M or some T(e) overflows i128: the layout
+  // then has no integer path), and max_scaled_time is max|T(e)|, the
+  // per-call bound's input. Per cyclic arc: T(e) = H(e)·M, the H it was
+  // scaled from and the factor M/den, which let a set_time under the same
+  // topology keep M (see the header comment). They belong to the layout
+  // key below: set_cost leaves them valid, set_time does not.
   std::vector<i128> scaled_time;
+  std::vector<Rational> scaled_from;
+  std::vector<i128> scale_factor;
   i128 time_scale = 0;
+  i128 max_scaled_time = 0;
 
   // CSR adjacency over the cyclic core (indices into `cyclic`).
   std::vector<std::int32_t> out_offsets;
   std::vector<std::int32_t> out_ids;
   std::vector<std::int32_t> cursor;
 
-  // Positive-cycle kernel state. Weights and labels are per cyclic arc and
-  // per node: scaled i128 normally, Rational on the overflow fallback.
-  std::vector<i128> int_weights;
-  std::vector<i128> int_dist;
+  // Positive-cycle kernel state: weights per cyclic arc and labels per
+  // node at each of the three widths — scaled i64 under the per-call bound,
+  // scaled i128 under the per-arc check, and Rational. A call fills only
+  // the pair of the width it runs at.
+  std::vector<i64> weights64;
+  std::vector<i64> dist64;
+  std::vector<i128> weights128;
+  std::vector<i128> dist128;
   std::vector<Rational> weights;
   std::vector<Rational> dist;
   // Relaxation forest: parent arc (index into `cyclic`, -1 at a root) and
@@ -180,11 +208,12 @@ void solve_max_cycle_ratio(const BivaluedGraph& g, const McrpOptions& options,
 /// symbolic-region engine (core/regions.hpp) calls this to certify that a
 /// candidate ratio λ stays maximal along a parameter ray: no circuit beats
 /// λ iff none is positive under w. Runs the solver's positive-cycle kernel
-/// on scaled i128 labels (Rational only on overflow) over the scratch's
-/// SCC-restricted cyclic core. Like a warm solve, it keeps the core and its
-/// CSR when the graph's topology stamp matches what the scratch last
-/// derived (any prior solve on `g` records it), keeps the scaled H when the
-/// layout stamp matches too, and derives the rest afresh.
+/// on scaled i64 or i128 labels (Rational only on overflow) over the
+/// scratch's SCC-restricted cyclic core. Like a warm solve, it keeps the
+/// core and its CSR when the graph's topology stamp matches what the
+/// scratch last derived (any prior solve on `g` records it), keeps the
+/// scaled H when the layout stamp matches too, and otherwise rescales it
+/// under the kept M.
 [[nodiscard]] bool has_positive_cycle(const BivaluedGraph& g, std::span<const i64> costs,
                                       const Rational& lambda, McrpScratch& scratch);
 

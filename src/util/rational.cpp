@@ -6,8 +6,16 @@
 
 namespace kp {
 
+namespace {
+
+/// |v| < 2^63: v fits an i64 whose negation fits too.
+constexpr bool fits_63_bits(i128 v) noexcept { return v >= -i128{INT64_MAX} && v <= INT64_MAX; }
+
+}  // namespace
+
 Rational::Rational(i128 n, i128 d) : num_(n), den_(d) {
   if (d == 0) throw ModelError("rational with zero denominator");
+  if (n == k_i128_min || d == k_i128_min) throw_overflow("Rational(INT128_MIN)");
   normalize();
 }
 
@@ -20,7 +28,14 @@ void Rational::normalize() {
     den_ = 1;
     return;
   }
+  if (den_ == 1) return;
   const i128 g = gcd128(num_, den_);
+  if (g == 1) return;
+  if (fits_63_bits(num_) && fits_63_bits(den_)) {
+    num_ = static_cast<i64>(num_) / static_cast<i64>(g);
+    den_ = static_cast<i64>(den_) / static_cast<i64>(g);
+    return;
+  }
   num_ /= g;
   den_ /= g;
 }
@@ -50,7 +65,8 @@ Rational& Rational::operator*=(const Rational& o) {
   const i128 g2 = gcd128(o.num_, den_);
   num_ = checked_mul(num_ / g1, o.num_ / g2);
   den_ = checked_mul(den_ / g2, o.den_ / g1);
-  normalize();
+  // Coprime already: each factor of num_ is coprime to each of den_.
+  if (num_ == 0) den_ = 1;
   return *this;
 }
 
@@ -88,6 +104,11 @@ std::strong_ordering reverse(std::strong_ordering o) noexcept {
 }  // namespace
 
 std::strong_ordering operator<=>(const Rational& x, const Rational& y) noexcept {
+  // Words below 2^63 keep both cross products below 2^126: exact in i128.
+  if (fits_63_bits(x.num_) && fits_63_bits(x.den_) && fits_63_bits(y.num_) &&
+      fits_63_bits(y.den_)) {
+    return x.num_ * y.den_ <=> y.num_ * x.den_;
+  }
   const int sx = x.sign();
   const int sy = y.sign();
   if (sx != sy) return sx <=> sy;

@@ -4,9 +4,17 @@
 // fractions; we normalize eagerly (gcd-reduced, positive denominator) so
 // intermediate magnitudes stay small, and all products go through checked
 // multiplication — an overflow raises kp::OverflowError rather than
-// corrupting a result. Comparison never overflows: it uses a Euclidean
-// continued-fraction descent instead of cross-multiplication when the
-// direct product would not fit.
+// corrupting a result. Numerator and denominator live in the symmetric
+// i128 range of util/checked.hpp: INT128_MIN is rejected on construction
+// and never produced by arithmetic, so negation is always exact.
+//
+// Most values fit in 64 bits, and the hot primitives run on machine words
+// there: gcd128 finishes on u64, normalize returns early when the gcd is 1
+// and divides in i64 when both words are below 2^63, and comparison of
+// four such words is one i128 cross-multiplication (products below 2^126).
+// Larger words take the 128-bit paths; comparison then never overflows: it
+// uses a Euclidean continued-fraction descent instead of cross-
+// multiplication.
 #pragma once
 
 #include <compare>
@@ -27,7 +35,8 @@ class Rational {
   /// Integer value n/1.
   constexpr Rational(i64 n) noexcept : num_(n) {}  // NOLINT(google-explicit-constructor)
 
-  /// n/d, normalized. Throws ModelError if d == 0.
+  /// n/d, normalized. Throws ModelError if d == 0, and OverflowError if n
+  /// or d is INT128_MIN (outside the symmetric range).
   Rational(i128 n, i128 d);
 
   [[nodiscard]] static Rational of(i64 n, i64 d) { return Rational(i128{n}, i128{d}); }

@@ -1,6 +1,8 @@
 // Unit tests for overflow-checked integer arithmetic (util/checked.hpp).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/checked.hpp"
 #include "util/error.hpp"
 
@@ -34,6 +36,22 @@ TEST(Checked, Mul128) {
   EXPECT_THROW((void)checked_mul(big, big), OverflowError);
 }
 
+// The checked i128 primitives work on the symmetric range: INT128_MIN,
+// whose negation does not fit, is an overflow even as an exact result.
+TEST(Checked, Int128MinIsOverflow) {
+  EXPECT_EQ(k_i128_min, -k_i128_max - 1);
+  EXPECT_THROW((void)checked_mul(-(i128{1} << 64), i128{1} << 63), OverflowError);
+  EXPECT_THROW((void)checked_mul(i128{1} << 64, -(i128{1} << 63)), OverflowError);
+  EXPECT_THROW((void)checked_sub(-k_i128_max, i128{1}), OverflowError);
+  EXPECT_THROW((void)checked_add(-k_i128_max, i128{-1}), OverflowError);
+  EXPECT_EQ(checked_sub(-k_i128_max + 1, i128{1}), -k_i128_max);
+  EXPECT_EQ(checked_add(k_i128_max - 1, i128{1}), k_i128_max);
+  i128 r = 0;
+  EXPECT_FALSE(try_mul(-(i128{1} << 64), i128{1} << 63, r));
+  EXPECT_TRUE(try_mul(-(i128{1} << 64), (i128{1} << 63) - 1, r));
+  EXPECT_EQ(r, k_i128_min + (i128{1} << 64));
+}
+
 TEST(Checked, Gcd) {
   EXPECT_EQ(gcd128(0, 0), 0);
   EXPECT_EQ(gcd128(0, 7), 7);
@@ -41,6 +59,42 @@ TEST(Checked, Gcd) {
   EXPECT_EQ(gcd128(-12, 18), 6);
   EXPECT_EQ(gcd128(12, -18), 6);
   EXPECT_EQ(gcd64(147, 80), 1);
+}
+
+// gcd128 runs Euclid's remainder steps on i128 while a magnitude needs
+// more than 64 bits and finishes with std::gcd on u64; around the word
+// boundaries it must agree with plain Euclid on i128.
+i128 euclid_gcd(i128 a, i128 b) {
+  a = a < 0 ? -a : a;
+  b = b < 0 ? -b : b;
+  while (b != 0) {
+    const i128 t = a % b;
+    a = b;
+    b = t;
+  }
+  return a;
+}
+
+TEST(Checked, GcdAtWordBoundaries) {
+  const i128 p62 = i128{1} << 62;
+  const i128 p63 = i128{1} << 63;
+  const i128 p64 = i128{1} << 64;
+  const std::vector<i128> values{0,       1,       2,       3,       6,           p62 - 1,
+                                 p62,     p62 + 1, 3 * p62, p63 - 1, p63,         p63 + 1,
+                                 p64 - 1, p64,     p64 + 1, 3 * p64, (p64 - 1) * 5, p64 * p62};
+  int checked = 0;
+  for (const i128 a : values) {
+    for (const i128 b : values) {
+      for (const i128 sa : {1, -1}) {
+        for (const i128 sb : {1, -1}) {
+          EXPECT_EQ(gcd128(sa * a, sb * b), euclid_gcd(a, b))
+              << to_string(sa * a) << " " << to_string(sb * b);
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4 * 18 * 18);
 }
 
 TEST(Checked, Lcm) {

@@ -213,6 +213,58 @@ TEST(CycleRatio, RationalLabelsWhenTimeScaleOverflows) {
   }
 }
 
+// One graph at each of the kernel's three label widths: as built (i64),
+// with every cost scaled past the i64 bound (i128), and with H
+// denominators whose lcm exceeds i128 (Rational). Eight 2-cycles
+// 2i ⇄ 2i+1 of ratio (i+2)/2 are chained into one component by arcs
+// 2i+1 → 2i+2 of cost 0 and H 64. The Rational variant splits each pair's
+// H into 1 ± 1/p_i for distinct primes p_i near 2^20, which keeps every
+// 2-cycle's H. The scratch's label vectors show which width ran.
+TEST(CycleRatio, ThreeLabelWidthsAgree) {
+  const std::vector<i64> primes{1048573, 1048571, 1048559, 1048549,
+                                1048517, 1048507, 1048447, 1048433};
+  const auto build = [&](i64 cost_scale, bool split_h) {
+    BivaluedGraph g(16);
+    for (std::int32_t i = 0; i < 8; ++i) {
+      const Rational eps =
+          split_h ? Rational::of(1, primes[static_cast<std::size_t>(i)]) : Rational{0};
+      g.add_arc(2 * i, 2 * i + 1, (i + 1) * cost_scale, Rational{1} + eps);
+      g.add_arc(2 * i + 1, 2 * i, cost_scale, Rational{1} - eps);
+      g.add_arc(2 * i + 1, (2 * i + 2) % 16, 0, Rational{64});
+    }
+    return g;
+  };
+  struct Width {
+    const char* name;
+    i64 cost_scale;
+    bool split_h;
+    std::size_t labels64, labels128, rational_labels;
+  };
+  // 8·2^56 = 2^59 > INT64_MAX/18 at λ = 0 already: every call leaves i64.
+  const i64 big = i64{1} << 56;
+  const std::vector<Width> widths{{"i64", 1, false, 16, 0, 0},
+                                  {"i128", big, false, 0, 16, 0},
+                                  {"Rational", 1, true, 0, 0, 16}};
+  for (const Width& w : widths) {
+    const BivaluedGraph g = build(w.cost_scale, w.split_h);
+    McrpScratch scratch;
+    McrpResult r;
+    solve_max_cycle_ratio(g, McrpOptions{}, scratch, r);
+    ASSERT_EQ(r.status, McrpStatus::Optimal) << w.name;
+    EXPECT_EQ(r.ratio, Rational::of(9, 2) * Rational{w.cost_scale}) << w.name;
+    std::vector<std::int32_t> arcs = r.critical_cycle;
+    std::sort(arcs.begin(), arcs.end());
+    EXPECT_EQ(arcs, (std::vector<std::int32_t>{21, 22})) << w.name;
+    EXPECT_EQ(scratch.dist64.size(), w.labels64) << w.name;
+    EXPECT_EQ(scratch.dist128.size(), w.labels128) << w.name;
+    EXPECT_EQ(scratch.dist.size(), w.rational_labels) << w.name;
+    EXPECT_EQ(scratch.time_scale, w.split_h ? 0 : 1) << w.name;
+    EXPECT_FALSE(has_positive_cycle(g, g.costs(), r.ratio, scratch)) << w.name;
+    EXPECT_TRUE(has_positive_cycle(g, g.costs(), r.ratio * Rational::of(99, 100), scratch))
+        << w.name;
+  }
+}
+
 TEST(Karp, SimpleCycleMean) {
   Digraph g(3);
   std::vector<i64> w;

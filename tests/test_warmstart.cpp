@@ -417,6 +417,39 @@ TEST(WarmStart, WarmSolveAfterSetTimeRescalesH) {
   EXPECT_FALSE(has_positive_cycle(g, g.costs(), Rational::of(9, 2), scratch));
 }
 
+TEST(WarmStart, WarmSolveAfterSetTimeKeepsADividingScale) {
+  // H denominators 2 and 3 give M = 6, and 0⇄1 (ratio 8/(3/2)) is
+  // critical. Retiming arc 0 to 2/3 leaves denominators whose lcm is 3,
+  // which divides the kept M: M stays 6. Retiming it to 1/5 does not
+  // divide 6, so M is re-derived as lcm(5, 3) = 15.
+  BivaluedGraph g = make_bivalued(
+      3, {{0, 1, 5, Rational::of(1, 2)}, {1, 0, 3, Rational{1}}, {1, 2, 4, Rational::of(1, 3)},
+          {2, 1, 2, Rational{1}}});
+  McrpOptions warm;
+  warm.howard_warm_start = true;
+  McrpScratch scratch;
+  McrpResult r;
+  solve_max_cycle_ratio(g, warm, scratch, r);
+  ASSERT_EQ(r.ratio, Rational::of(16, 3));
+  ASSERT_EQ(scratch.time_scale, 6);
+
+  g.set_time(0, Rational::of(2, 3));
+  solve_max_cycle_ratio(g, warm, scratch, r);
+  expect_matches_cold(r, g, "retimed to 2/3");
+  EXPECT_EQ(r.ratio, Rational::of(24, 5));
+  EXPECT_EQ(scratch.time_scale, 6) << "3 divides M: M is kept";
+  EXPECT_FALSE(has_positive_cycle(g, g.costs(), r.ratio, scratch));
+  EXPECT_TRUE(has_positive_cycle(g, g.costs(), Rational::of(47, 10), scratch));
+
+  g.set_time(0, Rational::of(1, 5));
+  solve_max_cycle_ratio(g, warm, scratch, r);
+  expect_matches_cold(r, g, "retimed to 1/5");
+  EXPECT_EQ(r.ratio, Rational::of(20, 3));
+  EXPECT_EQ(scratch.time_scale, 15) << "5 does not divide M: M must be re-derived";
+  EXPECT_FALSE(has_positive_cycle(g, g.costs(), r.ratio, scratch));
+  EXPECT_TRUE(has_positive_cycle(g, g.costs(), Rational::of(13, 2), scratch));
+}
+
 // ---- 5. service warm-state lifecycle ----------------------------------------
 
 /// The batch the lifecycle tests share: an execution-time sweep over
