@@ -2,7 +2,8 @@
 # Runs every example_* program of a build directory with its default
 # arguments (example_convert as `--demo`, inside a temporary directory) and
 # fails on the first non-zero exit. example_quickstart must also report
-# the figure-2 K-Iter period 13.
+# the figure-2 K-Iter period 13 and its critical circuit, and
+# example_deadlock_analysis its witness circuit, each line for line.
 #
 #   scripts/run_examples.sh [build-dir]      (default: build)
 set -euo pipefail
@@ -30,9 +31,16 @@ for example in "${examples[@]}"; do
   echo "ok   $name"
 done
 
-if ! grep -qF "K-Iter: throughput = 1/13 (period 13" "$tmp/example_quickstart.out"; then
-  cat "$tmp/example_quickstart.out"
-  echo "FAIL example_quickstart does not report K-Iter period 13" >&2
-  exit 1
-fi
-echo "ok   example_quickstart reports K-Iter period 13"
+# expect NAME LINE: NAME's output holds LINE as a substring of one line.
+expect() {
+  if ! grep -qF -- "$2" "$tmp/$1.out"; then
+    cat "$tmp/$1.out"
+    echo "FAIL $1 does not print: $2" >&2
+    exit 1
+  fi
+  echo "ok   $1 prints: $2"
+}
+
+expect example_quickstart "K-Iter: throughput = 1/13 (period 13"
+expect example_quickstart "Critical circuit: A_1^1 -> B_1^1 -> B_2^1 -> B_3^1 -> B_1^2 -> C_1^2 -> A_2^2 -> B_3^2 -> C_1^3 -> A_1^3 -> B_3^3 -> B_1^4 -> C_1^5 -> A_1^1"
+expect example_deadlock_analysis "witness circuit: A_1^1 -> B_1^1 -> C_1^1 -> A_1^1"

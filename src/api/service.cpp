@@ -128,6 +128,15 @@ void build_request_key(const CsdfGraph& g, Method method, const AnalysisOptions&
   key.finalize();
 }
 
+/// The calling thread's key storage, reused across its requests, so a warm
+/// key build allocates nothing; whoever keeps a key copies it. No caller
+/// code runs between a build and the key's last use (a cacheable request
+/// carries no poll hook), so nothing can rebuild it in between.
+ContentKey& thread_key() {
+  thread_local ContentKey key;
+  return key;
+}
+
 /// The caller's own poll hook (if any) chained behind the request's cancel
 /// flag; lives on the stack for the duration of one engine run. `hook` is
 /// the shared chaining predicate both K-Iter and the symbolic engine
@@ -185,7 +194,7 @@ Analysis run_kiter(const CsdfGraph& g, const RepetitionVector& rv, std::span<con
       // Why the value binds: the final round's critical cycle as a symbolic
       // ratio (empty for zero-period corners). The workspace still holds
       // the final K's constraint graph and solve here.
-      a.critical_cycle = extract_critical_cycle_cert(ws.constraints, ws.solved);
+      a.critical_cycle = extract_critical_cycle_cert(ws.constraints, ws.solved, ws.task_seen);
       break;
     case ThroughputStatus::Deadlock:
       a.outcome = Outcome::Deadlock;
@@ -347,23 +356,21 @@ Analysis timed_request(Method method, const CancelToken& cancel, KIterWorkspace&
 /// workspace. This is the single execution path every plain request
 /// funnels through — batch, async and inline analyses of the same request
 /// are therefore identical. K-Iter never copies the graph: the
-/// serialization self-loops go into `serial` (the worker's per-request
-/// scratch) and on to the constraint generator as extra buffers, and q is
-/// computed on the graph as given, since a unit self-loop changes neither
-/// q nor the consistency verdict. The other methods analyze a serialized
-/// copy.
+/// serialization self-loops go into `serial` and q into `rv` (the worker's
+/// per-request scratch), the loops on to the constraint generator as extra
+/// buffers, and q is computed on the graph as given, since a unit
+/// self-loop changes neither q nor the consistency verdict. The other
+/// methods analyze a serialized copy.
 Analysis execute_request(const CsdfGraph& graph, Method method, const AnalysisOptions& options,
                          double deadline_ms, const CancelToken& cancel, KIterWorkspace& ws,
-                         std::vector<Buffer>& serial) {
+                         std::vector<Buffer>& serial, RepetitionVector& rv) {
   return timed_request(method, cancel, ws, nullptr, [&]() -> Analysis {
     if (method == Method::KIter) {
-      if (options.serialize_tasks) {
-        serialization_buffers_into(graph, serial);
-      } else {
-        serial.clear();
-      }
-      return run_kiter(graph, compute_repetition_vector(graph), serial, options, deadline_ms,
-                       cancel, ws);
+      const std::span<const Buffer> loops = options.serialize_tasks
+                                                ? serialization_buffers_into(graph, serial)
+                                                : std::span<const Buffer>{};
+      compute_repetition_vector_into(graph, rv);
+      return run_kiter(graph, rv, loops, options, deadline_ms, cancel, ws);
     }
     CsdfGraph serialized;
     if (options.serialize_tasks) serialized = add_serialization_buffers(graph);
@@ -617,7 +624,10 @@ void ThroughputService::prepare_cache_key(Job& job) const {
   if (!cache_.enabled() || job.variant != nullptr) return;
   const AnalysisRequest& req = job.req();
   if (!cacheable_request(req.method, req.options, req.deadline_ms, req.cancel)) return;
-  build_request_key(req.graph, req.method, req.options, job.key);
+  ContentKey& key = thread_key();
+  build_request_key(req.graph, req.method, req.options, key);
+  job.key.words.assign(key.words.begin(), key.words.end());  // one exactly sized copy
+  job.key.digest = key.digest;
   job.cacheable = true;
 }
 
@@ -657,7 +667,8 @@ void ThroughputService::run_job(Job& job, int worker_id) {
       if (!served) {
         const AnalysisRequest& req = job.req();
         job.result = execute_request(req.graph, req.method, req.options, req.deadline_ms,
-                                     req.cancel, worker.workspace, worker.request_serial);
+                                     req.cancel, worker.workspace, worker.request_serial,
+                                     worker.request_rv);
         solve_hist_.record_ms(job.result.elapsed_ms);
         executed_.fetch_add(1, std::memory_order_relaxed);
         if (job.cacheable) {
@@ -693,11 +704,9 @@ Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index
     worker.variant_gen = run.gen;
     worker.variant_applied = -1;
     worker.variant_rv_ready = false;
-    if (kiter && batch.options.serialize_tasks) {
-      serialization_buffers_into(*run.prepared, worker.variant_serial);
-    } else {
-      worker.variant_serial.clear();
-    }
+    worker.variant_loops = kiter && batch.options.serialize_tasks
+                               ? serialization_buffers_into(*run.prepared, worker.variant_serial)
+                               : std::span<const Buffer>{};
     // Batch start is a warm-state boundary: never seed the first variant of
     // a batch from whatever the worker solved last.
     worker.warm_k_valid = false;
@@ -724,7 +733,8 @@ Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index
     // a second layer of self-buffers.
     options.serialize_tasks = false;
     return execute_request(worker.variant_graph, batch.method, options, batch.deadline_ms,
-                           batch.cancel, worker.workspace, worker.request_serial);
+                           batch.cancel, worker.workspace, worker.request_serial,
+                           worker.request_rv);
   }
   const bool rates = !deltas[index].rates.empty();
   const bool warm = batch.warm_start;
@@ -748,10 +758,10 @@ Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index
           own = compute_repetition_vector(worker.variant_graph);
           rv = &own;
         } else if (!worker.variant_rv_ready) {
-          worker.variant_rv = compute_repetition_vector(worker.variant_graph);
+          compute_repetition_vector_into(worker.variant_graph, worker.variant_rv);
           worker.variant_rv_ready = true;
         }
-        return run_kiter(worker.variant_graph, *rv, worker.variant_serial, options,
+        return run_kiter(worker.variant_graph, *rv, worker.variant_loops, options,
                          batch.deadline_ms, batch.cancel, worker.workspace,
                          warm ? &worker.warm_k : nullptr, warm ? &worker.warm_k_valid : nullptr);
       });
@@ -1060,7 +1070,7 @@ Analysis ThroughputService::analyze(const CsdfGraph& g, Method method,
                                     const AnalysisOptions& options, double deadline_ms,
                                     const CancelToken& cancel) {
   const int caller_id = static_cast<int>(workers_.size()) - 1;
-  ContentKey key;
+  ContentKey& key = thread_key();
   const bool cacheable =
       cache_.enabled() && cacheable_request(method, options, deadline_ms, cancel);
   if (cacheable) {
@@ -1073,7 +1083,7 @@ Analysis ThroughputService::analyze(const CsdfGraph& g, Method method,
   Worker& caller = *workers_.back();
   std::lock_guard<std::mutex> wk(caller.in_use);
   Analysis a = execute_request(g, method, options, deadline_ms, cancel, caller.workspace,
-                               caller.request_serial);
+                               caller.request_serial, caller.request_rv);
   a.worker_id = caller_id;
   solve_hist_.record_ms(a.elapsed_ms);
   executed_.fetch_add(1, std::memory_order_relaxed);

@@ -52,6 +52,17 @@
 // variant-batch/scenario analyses keep using the cross-variant constraint
 // cache instead. Entries are bounded by per-stripe LRU eviction.
 //
+// A miss is meant to cost a lookup and little else, since a serving
+// workload of new content only ever misses, inserts and evicts: a key is
+// built into storage its calling thread reuses (a batch or submit() job
+// keeps one exactly sized copy, analyze() none), each stripe is a
+// flat slab probed through an open-addressed digest index, and an insert
+// writes the key (exactly sized) and the Analysis into the evicted slot
+// instead of allocating list and hash nodes. With the serialization
+// self-loops and q also in worker scratch, a cold K-Iter request on a warm
+// inline service allocates about what its Analysis holds, plus the key copy
+// the cache keeps (tests/test_serving.cpp, ServingAllocations).
+//
 // Request queues are sharded (ServiceOptions::queue_shards, default one
 // per worker): each worker owns a local deque and pops it LIFO (newest
 // first — the producer just touched that memory), batch dispatch deals
@@ -379,11 +390,18 @@ class ThroughputService {
     KIterWorkspace workspace;
     std::mutex in_use;  // guards the workspace in inline mode
 
-    /// Per-request scratch: the serialization self-loops of the plain
-    /// K-Iter request being served (serialization_buffers_into), handed to
-    /// the constraint generator instead of a serialized graph copy. Every
-    /// plain request rewrites it, so no batch state may live here.
+    /// Per-request scratch of the plain K-Iter request being served. Every
+    /// plain request rewrites both, so no batch state may live here:
+    ///  * request_serial — its serialization self-loops
+    ///    (serialization_buffers_into), handed to the constraint generator
+    ///    instead of a serialized graph copy. Elements past the request's
+    ///    own loops are kept from larger graphs, so a smaller graph after a
+    ///    larger one destroys and rebuilds nothing;
+    ///  * request_rv — its repetition vector
+    ///    (compute_repetition_vector_into), whose q keeps its capacity
+    ///    across requests.
     std::vector<Buffer> request_serial;
+    RepetitionVector request_rv;
 
     // analyze_variants scratch: the one materialized variant graph this
     // worker mutates through the batch, keyed by batch generation (0 =
@@ -396,9 +414,11 @@ class ThroughputService {
     std::ptrdiff_t variant_applied = -1;  ///< delta currently applied, -1 = base
     CsdfGraph variant_graph;
     /// K-Iter batches: the base's serialization self-loops (built once per
-    /// batch — a delta cannot change the graph's shape) and the base's q
+    /// batch — a delta cannot change the graph's shape — into the front of
+    /// variant_serial; variant_loops views them) and the base's q
     /// (computed on first use, valid when variant_rv_ready).
     std::vector<Buffer> variant_serial;
+    std::span<const Buffer> variant_loops;
     bool variant_rv_ready = false;
     RepetitionVector variant_rv;
 

@@ -1,6 +1,7 @@
 #include "core/kiter.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/optimality.hpp"
 #include "util/stopwatch.hpp"
@@ -207,10 +208,10 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
       result.status = ThroughputStatus::Unbounded;
       result.period = Rational{0};
       result.throughput = Rational{0};
-      result.k = k;
+      result.k = std::move(k);
       result.critical_tasks = ws.critical_tasks;
       snapshot_effort();
-      if (options.want_schedule) result.schedule = extract_schedule_warm(k);
+      if (options.want_schedule) result.schedule = extract_schedule_warm(result.k);
       return result;
     }
 
@@ -220,10 +221,8 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
     if (options.record_trace) result.trace.back().optimality_passed = passed;
 
     if (passed) {
-      result.k = k;
+      result.k = std::move(k);
       result.critical_tasks = ws.critical_tasks;
-      result.critical_description =
-          ws.constraints.describe_circuit(g, ws.solved.critical_cycle);
       snapshot_effort();
       if (status == KEvalStatus::InfeasibleK) {
         // The circuit's induced subgraph cannot be scheduled even at the K
@@ -236,7 +235,7 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
         result.period = ws.solved.ratio;
         result.throughput = result.period.reciprocal();
         result.has_feasible_bound = true;
-        if (options.want_schedule) result.schedule = extract_schedule_warm(k);
+        if (options.want_schedule) result.schedule = extract_schedule_warm(result.k);
       }
       return result;
     }
@@ -262,7 +261,12 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
 KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
                              const KIterOptions& options) {
   KIterWorkspace ws;
-  return kiter_throughput(g, rv, options, ws);
+  KIterResult result = kiter_throughput(g, rv, options, ws);
+  // The workspace still holds the final round's graph and circuit.
+  if (result.status == ThroughputStatus::Optimal || result.status == ThroughputStatus::Deadlock) {
+    result.critical_description = ws.constraints.describe_circuit(g, ws.solved.critical_cycle);
+  }
+  return result;
 }
 
 KIterResult kiter_throughput(const CsdfGraph& g, const KIterOptions& options) {

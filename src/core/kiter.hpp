@@ -173,6 +173,13 @@ struct KIterResult {
   double solve_ms = 0.0;
 
   std::vector<TaskId> critical_tasks;
+
+  /// The final round's critical circuit rendered with task names ("A_1^1
+  /// -> B_1^1 -> ... -> A_1^1", see ConstraintGraph::describe_circuit) on
+  /// Optimal and Deadlock exits. Only the convenience overloads, which own
+  /// their workspace, fill it; the workspace overload leaves it empty, so
+  /// a serving caller does not pay for a string it never returns — the
+  /// circuit is still in `ws.solved.critical_cycle` and `ws.constraints`.
   std::string critical_description;
 
   /// The schedule achieving `period` (valid when Optimal, or when

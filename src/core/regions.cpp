@@ -31,13 +31,18 @@ std::string CriticalCycleCert::describe(const CsdfGraph& g) const {
   return out;
 }
 
-CriticalCycleCert extract_critical_cycle_cert(const ConstraintGraph& cg,
-                                              const McrpResult& solved) {
+CriticalCycleCert extract_critical_cycle_cert(const ConstraintGraph& cg, const McrpResult& solved,
+                                              std::vector<std::int8_t>& seen) {
   CriticalCycleCert cert;
   if (solved.status != McrpStatus::Optimal || solved.ratio.sign() <= 0 ||
       solved.critical_cycle.empty()) {
     return cert;
   }
+  // A circuit of L arcs visits L nodes, so at most L (task, phase) terms
+  // and L distinct tasks: one allocation each.
+  const std::size_t len = solved.critical_cycle.size();
+  cert.coeffs.reserve(len);
+  cert.tasks.reserve(std::min(len, cg.task_first_node.size()));
   for (const std::int32_t a : solved.critical_cycle) {
     const std::int32_t src = cg.graph.graph().arc(a).src;
     const TaskId t = cg.node_task[static_cast<std::size_t>(src)];
@@ -56,7 +61,7 @@ CriticalCycleCert extract_critical_cycle_cert(const ConstraintGraph& cg,
             [](const CriticalCycleCert::Coeff& a, const CriticalCycleCert::Coeff& b) {
               return a.task != b.task ? a.task < b.task : a.phase < b.phase;
             });
-  cert.tasks = cg.tasks_on_circuit(solved.critical_cycle);
+  cg.tasks_on_circuit_into(solved.critical_cycle, seen, cert.tasks);
   cert.k = cg.k;
   cert.cycle_cost = cg.graph.cycle_cost(solved.critical_cycle);
   cert.cycle_time = cg.graph.cycle_time(solved.critical_cycle);
@@ -66,6 +71,12 @@ CriticalCycleCert extract_critical_cycle_cert(const ConstraintGraph& cg,
   }
   cert.ratio = solved.ratio;
   return cert;
+}
+
+CriticalCycleCert extract_critical_cycle_cert(const ConstraintGraph& cg,
+                                              const McrpResult& solved) {
+  std::vector<std::int8_t> seen;
+  return extract_critical_cycle_cert(cg, solved, seen);
 }
 
 void RegionCertifier::prepare(const ConstraintGraph& cg, const CriticalCycleCert& cert,

@@ -70,7 +70,13 @@ struct CriticalCycleCert {
 
 /// Reads the cert out of an exact Optimal solve with positive ratio;
 /// returns an empty cert otherwise (no cycle, zero ratio, infeasibility
-/// witness). `cg` must be the graph `solved` was solved on.
+/// witness). `cg` must be the graph `solved` was solved on. `seen` is
+/// per-task scratch (ConstraintGraph::tasks_on_circuit_into), so the cert's
+/// three vectors are the only allocations; the two-argument form makes its
+/// own.
+[[nodiscard]] CriticalCycleCert extract_critical_cycle_cert(const ConstraintGraph& cg,
+                                                            const McrpResult& solved,
+                                                            std::vector<std::int8_t>& seen);
 [[nodiscard]] CriticalCycleCert extract_critical_cycle_cert(const ConstraintGraph& cg,
                                                             const McrpResult& solved);
 

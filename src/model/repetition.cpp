@@ -1,10 +1,104 @@
 #include "model/repetition.hpp"
 
+#include <numeric>
 #include <vector>
 
 namespace kp {
 
+namespace {
+
+/// The word path's per-thread scratch: per task the reduced rate fraction
+/// num/den (den 0 = not visited yet), and the breadth-first visit order,
+/// in which each component's tasks form one contiguous run.
+struct WordScratch {
+  std::vector<i64> num;
+  std::vector<i64> den;
+  std::vector<TaskId> order;
+};
+
+/// The repetition vector on i64 words into `out`. Returns false, leaving
+/// `out` unspecified, on any overflow or inconsistency: the caller then
+/// runs the Rational reference, which reports either exactly.
+bool repetition_on_words(const CsdfGraph& g, RepetitionVector& out) {
+  thread_local WordScratch s;
+  const auto n = static_cast<std::size_t>(g.task_count());
+  s.num.resize(n);
+  s.den.assign(n, 0);
+  s.order.resize(n);
+  out.q.resize(n);
+  const std::vector<Buffer>& buffers = g.buffers();
+  std::size_t visited = 0;
+  for (TaskId root = 0; root < static_cast<TaskId>(n); ++root) {
+    if (s.den[static_cast<std::size_t>(root)] != 0) continue;
+    const std::size_t begin = visited;
+    s.num[static_cast<std::size_t>(root)] = 1;
+    s.den[static_cast<std::size_t>(root)] = 1;
+    s.order[visited++] = root;
+    for (std::size_t head = begin; head < visited; ++head) {
+      const auto t = static_cast<std::size_t>(s.order[head]);
+      // Every buffer at t forces f_other = f_t * mul / div, checked here
+      // against an already visited endpoint.
+      const auto relax = [&](TaskId other, i64 mul, i64 div) {
+        i64 num = 0;
+        i64 den = 0;
+        if (__builtin_mul_overflow(s.num[t], mul, &num) ||
+            __builtin_mul_overflow(s.den[t], div, &den)) {
+          return false;
+        }
+        const i64 common = std::gcd(num, den);
+        num /= common;
+        den /= common;
+        const auto o = static_cast<std::size_t>(other);
+        if (s.den[o] != 0) return s.num[o] == num && s.den[o] == den;
+        s.num[o] = num;
+        s.den[o] = den;
+        s.order[visited++] = other;
+        return true;
+      };
+      for (const BufferId bid : g.out_buffers(static_cast<TaskId>(t))) {
+        const Buffer& b = buffers[static_cast<std::size_t>(bid)];
+        if (!relax(b.dst, b.total_prod, b.total_cons)) return false;
+      }
+      for (const BufferId bid : g.in_buffers(static_cast<TaskId>(t))) {
+        const Buffer& b = buffers[static_cast<std::size_t>(bid)];
+        if (!relax(b.src, b.total_cons, b.total_prod)) return false;
+      }
+    }
+    // Scale the component order[begin, visited) to the smallest integers,
+    // q_t = f_t * L with L the lcm of its denominators. No common factor is
+    // left to divide out: a prime p dividing every q_t divides q_root = L,
+    // but the task whose denominator carries L's full power of p has q_t
+    // free of p, since its reduced numerator is.
+    i64 lcm = 1;
+    for (std::size_t i = begin; i < visited; ++i) {
+      const i64 d = s.den[static_cast<std::size_t>(s.order[i])];
+      if (__builtin_mul_overflow(lcm / std::gcd(lcm, d), d, &lcm)) return false;
+    }
+    for (std::size_t i = begin; i < visited; ++i) {
+      const auto t = static_cast<std::size_t>(s.order[i]);
+      if (__builtin_mul_overflow(s.num[t], lcm / s.den[t], &out.q[t])) return false;
+    }
+  }
+  out.consistent = true;
+  out.failure_reason.clear();
+  out.sum = 0;
+  for (const i64 qt : out.q) out.sum += qt;  // n * 2^63 stays far below 2^127
+  return true;
+}
+
+}  // namespace
+
+void compute_repetition_vector_into(const CsdfGraph& g, RepetitionVector& out) {
+  if (!repetition_on_words(g, out)) out = compute_repetition_vector_rational(g);
+}
+
 RepetitionVector compute_repetition_vector(const CsdfGraph& g) {
+  RepetitionVector result;
+  compute_repetition_vector_into(g, result);
+  return result;
+}
+
+RepetitionVector compute_repetition_vector_rational(const CsdfGraph& g) {
   RepetitionVector result;
   const std::int32_t n = g.task_count();
   result.q.assign(static_cast<std::size_t>(n), 0);

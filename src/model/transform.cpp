@@ -24,7 +24,7 @@ std::vector<i64> repeat_vector(const std::vector<i64>& v, i64 times) {
 
 }  // namespace
 
-void serialization_buffers_into(const CsdfGraph& g, std::vector<Buffer>& out) {
+std::span<const Buffer> serialization_buffers_into(const CsdfGraph& g, std::vector<Buffer>& out) {
   std::size_t n = 0;
   for (TaskId t = 0; t < g.task_count(); ++t) {
     const auto& outs = g.out_buffers(t);
@@ -47,13 +47,13 @@ void serialization_buffers_into(const CsdfGraph& g, std::vector<Buffer>& out) {
     for (std::size_t p = 0; p <= phi; ++p) b.cum_prod[p] = static_cast<i64>(p);
     b.cum_cons.assign(b.cum_prod.begin(), b.cum_prod.end());
   }
-  out.resize(n);
+  return {out.data(), n};
 }
 
 CsdfGraph add_serialization_buffers(const CsdfGraph& g) {
   CsdfGraph out = g;
   std::vector<Buffer> loops;
-  serialization_buffers_into(g, loops);
+  (void)serialization_buffers_into(g, loops);  // fresh: the span is all of it
   for (Buffer& b : loops) {
     out.add_buffer("serial:" + g.task(b.src).name, b.src, b.dst, std::move(b.prod),
                    std::move(b.cons), b.initial_tokens);

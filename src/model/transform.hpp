@@ -23,15 +23,18 @@
 
 namespace kp {
 
-/// Writes into `out` the serialization self-buffers of g: one per task that
-/// has no self-buffer, in ascending task order, each with unit rates on
-/// every phase, totals and cumulative sums filled in, and a single initial
-/// token. Names are left empty. The elements already in `out` are reused,
-/// so refilling the vector for a graph of the same shape allocates
-/// nothing. The resulting execution semantics: one phase of a task at a
-/// time, iterations in order. A unit self-loop leaves the repetition
-/// vector and the consistency verdict of g unchanged.
-void serialization_buffers_into(const CsdfGraph& g, std::vector<Buffer>& out);
+/// Writes the serialization self-buffers of g into the front of `out` and
+/// returns them: one per task that has no self-buffer, in ascending task
+/// order, each with unit rates on every phase, totals and cumulative sums
+/// filled in, and a single initial token. Names are left empty. `out` is
+/// scratch: its elements are reused and never shrunk away, so elements
+/// past the returned span are left over from larger graphs, and refilling
+/// it for a graph no larger than any earlier one allocates nothing. The
+/// resulting execution semantics: one phase of a task at a time,
+/// iterations in order. A unit self-loop leaves the repetition vector and
+/// the consistency verdict of g unchanged.
+[[nodiscard]] std::span<const Buffer> serialization_buffers_into(const CsdfGraph& g,
+                                                         std::vector<Buffer>& out);
 
 /// Returns a copy of g with the buffers of serialization_buffers_into
 /// appended in the same order, named "serial:<task>".

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -276,8 +277,8 @@ TEST(Incremental, WarmPatchedRoundDoesNotAllocate) {
   // The same rounds with the serialization self-loop of task a as extra
   // generator input (b and c have their own): refilling the warm loop
   // vector and patching over g plus the loop stay off the heap too.
-  std::vector<Buffer> extra;
-  serialization_buffers_into(g, extra);
+  std::vector<Buffer> loops;
+  const std::span<const Buffer> extra = serialization_buffers_into(g, loops);
   ASSERT_EQ(extra.size(), 1u);
   KIterWorkspace ws_extra;
   for (int warm = 0; warm < 2; ++warm) {
@@ -287,7 +288,7 @@ TEST(Incremental, WarmPatchedRoundDoesNotAllocate) {
   ASSERT_GE(ws_extra.cache.patched_rounds, 3);
 
   const std::uint64_t before_extra = g_alloc_count.load();
-  serialization_buffers_into(g, extra);
+  (void)serialization_buffers_into(g, loops);
   const KEvalStatus ea =
       evaluate_k_periodic_round_incremental(g, rv, ka, mcrp, ws_extra, nullptr, extra);
   const KEvalStatus eb =
@@ -366,14 +367,14 @@ CsdfGraph random_graph_maybe_self_loop(u64 seed) {
 TEST(Incremental, SerializationExtraMatchesSerializedCopyRoundByRound) {
   KIterWorkspace ws_extra;  // (g, extra) through the incremental engine
   KIterWorkspace ws_copy;   // the serialized copy, in lockstep
-  std::vector<Buffer> extra;
+  std::vector<Buffer> loops;  // reused across graphs, as the service does
   i64 patched = 0;
   int with_own_loop = 0;
   int checked = 0;
   for (u64 seed = 300; checked < 80; ++seed) {
     const CsdfGraph g = random_graph_maybe_self_loop(seed);
     const CsdfGraph s = add_serialization_buffers(g);
-    serialization_buffers_into(g, extra);
+    const std::span<const Buffer> extra = serialization_buffers_into(g, loops);
     ASSERT_EQ(static_cast<std::size_t>(s.buffer_count()), g.buffer_count() + extra.size());
     with_own_loop += extra.size() < static_cast<std::size_t>(g.task_count()) ? 1 : 0;
 
@@ -426,12 +427,12 @@ TEST(Incremental, SerializationExtraMatchesSerializedCopyRoundByRound) {
 TEST(Incremental, KIterWithSerializationExtraMatchesSerializedCopy) {
   KIterWorkspace ws_extra;
   KIterWorkspace ws_copy;
-  std::vector<Buffer> extra;
+  std::vector<Buffer> loops;  // reused across graphs, as the service does
   int bound_exits = 0;
   for (u64 seed = 400; seed < 460; ++seed) {
     const CsdfGraph g = random_graph_maybe_self_loop(seed);
     const CsdfGraph s = add_serialization_buffers(g);
-    serialization_buffers_into(g, extra);
+    const std::span<const Buffer> extra = serialization_buffers_into(g, loops);
     const RepetitionVector rv = compute_repetition_vector(g);
     const RepetitionVector rv_copy = compute_repetition_vector(s);
     ASSERT_TRUE(rv.consistent) << "seed " << seed;

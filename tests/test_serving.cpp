@@ -19,13 +19,18 @@
 //   * a submit() twin queued back to back behind its first copy is served
 //     from the cache (dispatch or late hit), never solved twice;
 //   * stats() is coherent after a batch: executed counts, histogram
-//     totals, monotone percentiles, per-shard depth high-water marks.
+//     totals, monotone percentiles, per-shard depth high-water marks;
+//   * a cold inline request on a warm service allocates little beyond the
+//     Analysis it returns, with the cache off and on (tests/alloc_hook.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iostream>
 #include <string>
 #include <vector>
 
+#include "alloc_hook.hpp"
 #include "api/service.hpp"
 #include "gen/csdf_apps.hpp"
 #include "gen/paper_examples.hpp"
@@ -386,6 +391,67 @@ TEST(ServingStats, SnapshotIsCoherentAfterBatch) {
   EXPECT_EQ(s.cache_capacity, 4096u);
   EXPECT_GE(s.hit_rate(), 0.0);
   EXPECT_LE(s.hit_rate(), 1.0);
+}
+
+// ---- what a cold request allocates ------------------------------------------
+
+/// Mean heap allocations of one inline analyze() of new content on a warm
+/// service, over a fixed random_csdf mix shaped like the serving_unique
+/// benchmark's (3-9 tasks, up to 3 phases, q_t up to 6). Each request
+/// scales one base graph's durations by a factor no earlier request used,
+/// so every request is a cache miss, and once the cache is full an insert
+/// evicts. 5,000 warm-up requests fill a 4096-entry cache and warm the
+/// worker's scratch before 1,000 requests are counted.
+double mean_cold_request_allocations(std::size_t cache_capacity) {
+  ThroughputService service(ServiceOptions{.threads = 0, .result_cache_capacity = cache_capacity});
+  Rng rng(20261018);
+  RandomCsdfOptions gen;
+  gen.min_tasks = 3;
+  gen.max_tasks = 9;
+  gen.max_phases = 3;
+  gen.max_q = 6;
+  std::vector<CsdfGraph> bases;
+  for (int i = 0; i < 64; ++i) bases.push_back(random_csdf(rng, gen));
+  std::vector<CsdfGraph> work = bases;
+  std::vector<i64> durations;
+  i64 factor = 1;
+  const auto request = [&](std::size_t i) {
+    const CsdfGraph& base = bases[i % bases.size()];
+    CsdfGraph& g = work[i % bases.size()];
+    ++factor;
+    for (TaskId t = 0; t < g.task_count(); ++t) {
+      durations = base.task(t).durations;
+      for (i64& d : durations) d *= factor;
+      g.set_durations(t, durations);
+    }
+    const std::uint64_t before = g_alloc_count.load();
+    const Analysis a = service.analyze(g, Method::KIter);
+    const std::uint64_t allocations = g_alloc_count.load() - before;
+    EXPECT_EQ(a.outcome, Outcome::Value) << "request " << i;
+    return allocations;
+  };
+  for (std::size_t i = 0; i < 5000; ++i) (void)request(i);
+  std::uint64_t total = 0;
+  for (std::size_t i = 5000; i < 6000; ++i) total += request(i);
+  EXPECT_EQ(service.stats().cache_hits, 0u);  // every request was new content
+  return static_cast<double>(total) / 1000.0;
+}
+
+TEST(ServingAllocations, ColdRequestAllocatesLittleBeyondItsResult) {
+  // What remains per cold K-Iter request, cache off:
+  //  * the returned Analysis: the cert's coeffs, tasks and k vectors, and
+  //    `detail` when "rounds=.. K=.." outgrows the small-string buffer;
+  //  * KIterResult's final K and critical_tasks, which the service reads
+  //    (K for `detail`) and drops.
+  // With the cache on, each insert adds the exactly-sized copy of the key
+  // words, and the Analysis copied into the evicted slot grows that slot's
+  // buffers when they are smaller than the new value's.
+  const double off = mean_cold_request_allocations(0);
+  const double on = mean_cold_request_allocations(4096);
+  EXPECT_LE(off, 6.0) << "cache off";
+  EXPECT_LE(on, 8.0) << "cache on";
+  std::cout << "allocations per cold request: " << off << " (cache off), " << on
+            << " (cache on)\n";
 }
 
 }  // namespace

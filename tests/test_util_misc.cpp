@@ -1,11 +1,18 @@
-// Tests for the RNG, stopwatch formatting, hashing, the striped LRU cache,
-// the latency histogram and table rendering.
+// Tests for the RNG, stopwatch formatting, hashing, the striped LRU cache
+// (including a randomized check against a list-LRU model and a 4-thread
+// stress), the latency histogram and table rendering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <list>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/hash.hpp"
@@ -189,6 +196,208 @@ TEST(StripedLruCache, StripeCountClampedToCapacity) {
   EXPECT_EQ(tiny.stripe_count(), 3u);
   StripedLruCache<int> wide(4096);
   EXPECT_EQ(wide.stripe_count(), 16u);
+}
+
+// ---- the flat cache against a list-LRU model ---------------------------------
+
+/// Reference model of StripedLruCache's documented policy: the stripe count
+/// clamped to the capacity, routing by digest % stripes, and per stripe a
+/// list LRU (front = most recent) capped at ceil(capacity / stripes). Keys
+/// are identified by their index in the test's key universe.
+class LruModel {
+ public:
+  LruModel(std::size_t capacity, std::size_t stripes)
+      : lists_(std::min(stripes, capacity)), cap_((capacity + lists_.size() - 1) / lists_.size()) {}
+
+  std::optional<int> find(std::size_t stripe, int id) {
+    std::list<std::pair<int, int>>& l = lists_[stripe];
+    const auto it = locate(l, id);
+    if (it == l.end()) return std::nullopt;
+    l.splice(l.begin(), l, it);
+    return it->second;
+  }
+
+  void insert(std::size_t stripe, int id, int value) {
+    std::list<std::pair<int, int>>& l = lists_[stripe];
+    const auto it = locate(l, id);
+    if (it != l.end()) {
+      it->second = value;
+      l.splice(l.begin(), l, it);
+      return;
+    }
+    l.emplace_front(id, value);
+    ++size_;
+    if (l.size() > cap_) {
+      l.pop_back();
+      --size_;
+      ++evictions_;
+    }
+  }
+
+  [[nodiscard]] std::size_t stripes() const { return lists_.size(); }
+  [[nodiscard]] std::uint64_t size() const { return size_; }
+  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
+
+ private:
+  static std::list<std::pair<int, int>>::iterator locate(std::list<std::pair<int, int>>& l,
+                                                         int id) {
+    return std::find_if(l.begin(), l.end(), [id](const auto& e) { return e.first == id; });
+  }
+
+  std::vector<std::list<std::pair<int, int>>> lists_;
+  std::size_t cap_;
+  std::uint64_t size_ = 0;
+  std::uint64_t evictions_ = 0;
+};
+
+/// `count` distinct keys of 1 to 12 words (word 0 is the key's id), in
+/// three interleaved kinds: ordinary keys with their own digest; forged
+/// twins carrying the previous key's digest with other words, which only
+/// the exact word compare tells apart; and clustered keys whose digests
+/// share the top 32 and the low 8 bits — one stripe and one home cell of
+/// the digest index, whatever its size — so evictions delete from the
+/// middle of long probe runs.
+std::vector<ContentKey> make_key_universe(std::size_t count, Rng& rng) {
+  std::vector<ContentKey> keys(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ContentKey& k = keys[i];
+    k.words.push_back(static_cast<i64>(i));
+    const i64 extra = rng.uniform(0, 11);
+    for (i64 w = 0; w < extra; ++w) k.words.push_back(rng.uniform(-1000, 1000));
+    k.finalize();
+    if (i % 3 == 1) k.digest = keys[i - 1].digest;
+    if (i % 3 == 2) {
+      k.digest = (u64{0xC0FFEE12} << 32) | (static_cast<u64>(rng.uniform(0, 0xFFFFFF)) << 8) | 0x5A;
+    }
+  }
+  return keys;
+}
+
+TEST(StripedLruCache, MatchesListLruModel) {
+  for (const std::size_t capacity : {1, 2, 3, 7, 64, 257}) {
+    for (const std::size_t stripes : {1, 4, 16}) {
+      Rng rng(1000 * capacity + stripes);
+      const std::vector<ContentKey> keys = make_key_universe(2 * capacity + 6, rng);
+      StripedLruCache<int> cache(capacity, stripes);
+      LruModel model(capacity, stripes);
+      ASSERT_EQ(cache.stripe_count(), model.stripes());
+      std::vector<int> recent;  // ids inserted lately, for refreshes
+      for (int op = 0; op < 100000; ++op) {
+        const i64 kind = rng.uniform(0, 9);
+        int id = static_cast<int>(rng.uniform(0, static_cast<i64>(keys.size()) - 1));
+        if (kind >= 8 && !recent.empty()) {
+          id = recent[static_cast<std::size_t>(rng.uniform(0, static_cast<i64>(recent.size()) - 1))];
+        }
+        const ContentKey& key = keys[static_cast<std::size_t>(id)];
+        const std::size_t stripe = key.digest % model.stripes();
+        if (kind < 4) {
+          const std::optional<int> got = cache.find(key);
+          const std::optional<int> want = model.find(stripe, id);
+          ASSERT_EQ(got.has_value(), want.has_value())
+              << "find, capacity " << capacity << " stripes " << stripes << " op " << op;
+          if (want) {
+            ASSERT_EQ(*got, *want) << "capacity " << capacity << " op " << op;
+          }
+        } else {
+          cache.insert(key, op);
+          model.insert(stripe, id, op);
+          if (recent.size() < 8) {
+            recent.push_back(id);
+          } else {
+            recent[static_cast<std::size_t>(op) % recent.size()] = id;
+          }
+        }
+        ASSERT_EQ(cache.size(), model.size()) << "capacity " << capacity << " op " << op;
+        ASSERT_EQ(cache.evictions(), model.evictions()) << "capacity " << capacity << " op " << op;
+      }
+    }
+  }
+}
+
+/// A value whose copy-assignment throws while `fail` is set.
+struct FragileValue {
+  static inline bool fail = false;
+  int v = 0;
+
+  FragileValue() = default;
+  FragileValue(int x) : v(x) {}  // NOLINT(google-explicit-constructor)
+  FragileValue(const FragileValue&) = default;
+  FragileValue& operator=(FragileValue&&) noexcept = default;
+  FragileValue& operator=(const FragileValue& o) {
+    if (fail) throw std::runtime_error("copy failed");
+    v = o.v;
+    return *this;
+  }
+};
+
+TEST(StripedLruCache, InsertThatThrowsDropsTheEntry) {
+  StripedLruCache<FragileValue> cache(4, /*stripes=*/1);
+  const ContentKey a = make_key({1});
+  const ContentKey b = make_key({2});
+  const ContentKey c = make_key({3});
+  const ContentKey d = make_key({4});
+  const ContentKey e = make_key({5});
+  for (const ContentKey* k : {&a, &b, &c, &d}) cache.insert(*k, static_cast<int>(k->words[0]));
+  ASSERT_TRUE(cache.find(a).has_value());  // LRU order now b, c, d, a
+  FragileValue::fail = true;
+  // e evicts b; its copy throws, and the slot it took is dropped (the last
+  // slab entry, d's, moves into it).
+  EXPECT_THROW(cache.insert(e, 5), std::runtime_error);
+  // A refresh that throws drops the key too.
+  EXPECT_THROW(cache.insert(c, 30), std::runtime_error);
+  FragileValue::fail = false;
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_FALSE(cache.find(b).has_value());
+  EXPECT_FALSE(cache.find(c).has_value());
+  EXPECT_FALSE(cache.find(e).has_value());
+  ASSERT_TRUE(cache.find(d).has_value());
+  EXPECT_EQ(cache.find(d)->v, 4);
+  ASSERT_TRUE(cache.find(a).has_value());  // LRU order now d, a
+  EXPECT_EQ(cache.find(a)->v, 1);
+  // The stripe refills to its cap and evicts in LRU order again.
+  cache.insert(b, 2);
+  cache.insert(c, 3);
+  cache.insert(e, 5);
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_FALSE(cache.find(d).has_value());
+  for (const ContentKey* k : {&a, &b, &c, &e}) {
+    ASSERT_TRUE(cache.find(*k).has_value());
+    EXPECT_EQ(cache.find(*k)->v, static_cast<int>(k->words[0]));
+  }
+}
+
+TEST(StripedLruCache, ConcurrentHitsCarryTheirOwnKeysValue) {
+  Rng setup(77);
+  const std::vector<ContentKey> keys = make_key_universe(160, setup);
+  // Long enough to live on the heap, so a torn copy cannot pass unseen.
+  const auto value_of = [](std::size_t id) {
+    return "the value of key number " + std::to_string(id) + ", past the small-string buffer";
+  };
+  StripedLruCache<std::string> cache(64, 4);
+  std::atomic<int> wrong{0};
+  std::atomic<int> hits{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(500 + static_cast<u64>(t));
+      for (int op = 0; op < 50000; ++op) {
+        const auto id = static_cast<std::size_t>(rng.uniform(0, static_cast<i64>(keys.size()) - 1));
+        if (rng.uniform(0, 1) == 0) {
+          if (const std::optional<std::string> got = cache.find(keys[id])) {
+            hits.fetch_add(1, std::memory_order_relaxed);
+            if (*got != value_of(id)) wrong.fetch_add(1, std::memory_order_relaxed);
+          }
+        } else {
+          cache.insert(keys[id], value_of(id));
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(hits.load(), 0);
+  EXPECT_EQ(cache.size(), 64u);  // full: 4 stripes of 16
 }
 
 TEST(LatencyHistogram, BucketBoundaries) {
