@@ -20,7 +20,9 @@
 //   3. --repeat-mix: duplicate-heavy serving traffic — a pool of unique
 //      graphs resubmitted at 50% and 90% duplicate rates, cache-off vs
 //      cache-on (cold, in-batch dedupe) vs resubmit (all hits), all on
-//      ONE worker so the win is the cache, not parallelism.
+//      ONE worker so the win is the cache, not parallelism. Each case
+//      interleaves 9 rounds (5 with --smoke) of one pass of each kind and
+//      reports the median of the per-round speedups.
 //
 // All thread counts and cache settings must return bit-identical
 // outcome/period/K sequences — the determinism contract of analyze_batch.
@@ -160,6 +162,13 @@ std::vector<CsdfGraph> make_mix_pool(int unique) {
   return pool;
 }
 
+/// Median of a non-empty sample (the mean of the middle two when even).
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -189,6 +198,7 @@ int main(int argc, char** argv) {
   }
   if (smoke) graphs = std::min(graphs, 60);
   const int repeats = smoke ? 2 : 3;
+  const int mix_samples = smoke ? 5 : 9;  // interleaved repeat-mix rounds per case
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const std::vector<int> thread_counts{1, 2, 4, 8};
@@ -280,43 +290,47 @@ int main(int argc, char** argv) {
           make_mix_requests(pool, dup_rate, method, mix_rng);
       const auto n = static_cast<double>(requests.size());
 
-      // Cache OFF, warm workspaces: the honest baseline — every request
-      // solves, exactly what the service did before the result cache.
+      // Three services on one worker each. Cache OFF, warm workspaces: the
+      // honest baseline — every request solves, exactly what the service
+      // did before the result cache. Cache ON, cold: a fresh service per
+      // sample — the in-batch dedupe replays every duplicate from its first
+      // copy without queueing it, uniques still solve (cold workspaces AND
+      // cold cache, deliberately pessimistic for the cache). Cache ON,
+      // resubmit: the same traffic again on one warm service — the steady
+      // serving state, every request a dispatch hit.
       ThroughputService off(ServiceOptions{.threads = 1, .result_cache_capacity = 0});
       std::vector<Analysis> off_batch = off.analyze_batch(requests);  // warm-up
-      double off_ms = 1e300;
-      for (int r = 0; r < repeats; ++r) {
-        Stopwatch clock;
-        off_batch = off.analyze_batch(requests);
-        off_ms = std::min(off_ms, clock.elapsed_ms());
-      }
-
-      // Cache ON, cold: a fresh service per timing — the in-batch dedupe
-      // replays every duplicate from its first copy without queueing it,
-      // uniques still solve (cold workspaces AND cold cache, deliberately
-      // pessimistic for the cache).
-      double cold_ms = 1e300;
-      double hit_rate_cold = 0;
-      std::vector<Analysis> cold_batch;
-      ThroughputService cold_service(ServiceOptions{.threads = 1});
-      {
-        Stopwatch clock;
-        cold_batch = cold_service.analyze_batch(requests);
-        cold_ms = clock.elapsed_ms();
-        hit_rate_cold = cold_service.stats().hit_rate();
-      }
-
-      // Cache ON, resubmit: the same traffic again on the warm service —
-      // the steady serving state, every request a dispatch hit.
-      const ServiceStats before = cold_service.stats();
-      double resub_ms = 1e300;
+      ThroughputService warm(ServiceOptions{.threads = 1});
+      std::vector<Analysis> cold_batch = warm.analyze_batch(requests);  // fills the cache
+      const double hit_rate_cold = warm.stats().hit_rate();
       std::vector<Analysis> resub_batch;
-      for (int r = 0; r < repeats; ++r) {
-        Stopwatch clock;
-        resub_batch = cold_service.analyze_batch(requests);
-        resub_ms = std::min(resub_ms, clock.elapsed_ms());
+
+      // Interleaved samples: each round times one pass of every kind back
+      // to back, so a host slowdown lands on both sides of a round's
+      // ratios; the reported ratios are the medians of the per-round ones.
+      const ServiceStats before = warm.stats();
+      std::vector<double> off_ms;
+      std::vector<double> cold_ms;
+      std::vector<double> resub_ms;
+      std::vector<double> cold_ratio;
+      std::vector<double> resub_ratio;
+      for (int r = 0; r < mix_samples; ++r) {
+        Stopwatch off_clock;
+        off_batch = off.analyze_batch(requests);
+        off_ms.push_back(off_clock.elapsed_ms());
+        {
+          ThroughputService cold(ServiceOptions{.threads = 1});
+          Stopwatch cold_clock;
+          cold_batch = cold.analyze_batch(requests);
+          cold_ms.push_back(cold_clock.elapsed_ms());
+        }
+        Stopwatch resub_clock;
+        resub_batch = warm.analyze_batch(requests);
+        resub_ms.push_back(resub_clock.elapsed_ms());
+        cold_ratio.push_back(off_ms.back() / cold_ms.back());
+        resub_ratio.push_back(off_ms.back() / resub_ms.back());
       }
-      const ServiceStats after = cold_service.stats();
+      const ServiceStats after = warm.stats();
       const u64 resub_lookups = (after.cache_hits - before.cache_hits) +
                                 (after.cache_misses - before.cache_misses);
       const double hit_rate_resub =
@@ -335,11 +349,11 @@ int main(int argc, char** argv) {
       mr.requests = static_cast<int>(requests.size());
       mr.hit_rate_cold = hit_rate_cold;
       mr.hit_rate_resubmit = hit_rate_resub;
-      mr.off_graphs_per_sec = n / (off_ms / 1000.0);
-      mr.cold_graphs_per_sec = n / (cold_ms / 1000.0);
-      mr.resubmit_graphs_per_sec = n / (resub_ms / 1000.0);
-      mr.speedup_cold_vs_off = mr.cold_graphs_per_sec / mr.off_graphs_per_sec;
-      mr.speedup_resubmit_vs_off = mr.resubmit_graphs_per_sec / mr.off_graphs_per_sec;
+      mr.off_graphs_per_sec = n / (median(off_ms) / 1000.0);
+      mr.cold_graphs_per_sec = n / (median(cold_ms) / 1000.0);
+      mr.resubmit_graphs_per_sec = n / (median(resub_ms) / 1000.0);
+      mr.speedup_cold_vs_off = median(cold_ratio);
+      mr.speedup_resubmit_vs_off = median(resub_ratio);
       table.row({fmt(dup_rate * 100.0, "%.0f") + "%", std::to_string(mr.requests),
                  fmt(mr.off_graphs_per_sec, "%.0f"), fmt(mr.cold_graphs_per_sec, "%.0f"),
                  fmt(mr.resubmit_graphs_per_sec, "%.0f"), fmt(mr.speedup_cold_vs_off) + "x",

@@ -61,7 +61,10 @@
 # baseline of the same run, the cold first pass (duplicates served by the
 # in-batch dedupe only) must be >= 1.5x, and the measured hit rates must
 # match the constructed duplicate rate. Within-run ratios,
-# machine-relative.
+# machine-relative: bench_batch interleaves its cache-off, cold and
+# resubmission passes round by round (9 rounds per case) and reports each
+# speedup as the median of the per-round ratios, so the gate reads that
+# median.
 #
 # Each bench binary runs once; a gate that reads a run whose binary exited
 # non-zero (its own identity or sanity check failed) fails too. Every gate

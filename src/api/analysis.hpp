@@ -68,7 +68,11 @@ struct Analysis {
   Quality quality = Quality::None;
   Rational period;      // Ω_G, valid when outcome == Value
   Rational throughput;  // 1/Ω_G
-  double elapsed_ms = 0.0;  // execution time on the serving worker
+  // Execution time on the serving worker. A point filled from a symbolic
+  // region (rounds == 0, detail "symbolic region ...") reports an equal
+  // share of the region's fill time, read once per region; neither the
+  // anchor's exact solve nor the region certification is in it.
+  double elapsed_ms = 0.0;
   std::string detail;  // human-readable extras (final K, state counts, ...)
 
   // Solver-effort observability (KIter and Periodic fill these; other

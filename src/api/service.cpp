@@ -786,11 +786,12 @@ std::vector<Analysis> ThroughputService::run_symbolic_variants(const VariantRun&
 
   std::size_t i = 0;
   while (i < n) {
-    Analysis a = run_variant(run, i, worker);
-    a.request_id = static_cast<i64>(i);
-    a.worker_id = worker_id;
-    const CriticalCycleCert cert = a.critical_cycle;  // empty unless exact Optimal, Ω > 0
-    results[i] = std::move(a);
+    results[i] = run_variant(run, i, worker);
+    results[i].request_id = static_cast<i64>(i);
+    results[i].worker_id = worker_id;
+    // Empty unless exact Optimal with Ω > 0. `results` never resizes, so
+    // the reference stays valid for the whole region.
+    const CriticalCycleCert& cert = results[i].critical_cycle;
     if (cert.empty() || batch.cancel.cancelled()) {
       // Deadlock/Unbounded/budget/cancelled samples (and zero-period
       // corners) are warm-state boundaries exactly as in the per-point
@@ -810,32 +811,40 @@ std::vector<Analysis> ThroughputService::run_symbolic_variants(const VariantRun&
     }
     // The anchor's workspace still holds its final-K constraint graph and
     // cyclic core; certify how far right along the ray its cycle stays
-    // maximal (O(log range) exact positive-cycle checks).
-    certifier.prepare(worker.workspace.constraints, cert, ray, static_cast<i64>(i));
+    // maximal (one exact positive-cycle check per crossing point walked).
+    const i64 anchor = static_cast<i64>(i);
+    certifier.prepare(worker.workspace.constraints, cert, ray, anchor);
     const i64 end = certifier.region_end(static_cast<i64>(n) - 1, worker.workspace.mcrp);
-    for (i64 p = static_cast<i64>(i) + 1; p <= end; ++p) {
+    if (end > anchor) {
+      // The fill is priced per region: one detail string copied into every
+      // point, and one clock read whose time the points share equally.
       Stopwatch clock;
-      Analysis s;
-      s.method = Method::KIter;
-      s.outcome = Outcome::Value;
-      s.quality = Quality::Exact;
-      s.period = certifier.ratio_at(p);
-      s.throughput = s.period.reciprocal();
-      s.critical_cycle = cert;
-      s.critical_cycle.cycle_cost = certifier.numerator_at(p);
-      s.critical_cycle.ratio = s.period;
-      s.detail = "symbolic region anchor=";
-      s.detail += std::to_string(i);
-      s.detail += " [";
-      s.detail += std::to_string(i);
-      s.detail += "..";
-      s.detail += std::to_string(end);
-      s.detail += "] ";
-      append_k(s.detail, cert.k);
-      s.request_id = p;
-      s.worker_id = worker_id;
-      s.elapsed_ms = clock.elapsed_ms();
-      results[static_cast<std::size_t>(p)] = std::move(s);
+      std::string detail = "symbolic region anchor=";
+      detail += std::to_string(i);
+      detail += " [";
+      detail += std::to_string(i);
+      detail += "..";
+      detail += std::to_string(end);
+      detail += "] ";
+      append_k(detail, cert.k);
+      for (i64 p = anchor + 1; p <= end; ++p) {
+        Analysis& s = results[static_cast<std::size_t>(p)];
+        s.method = Method::KIter;
+        s.outcome = Outcome::Value;
+        s.quality = Quality::Exact;
+        s.period = certifier.ratio_at(p);
+        s.throughput = s.period.reciprocal();
+        s.critical_cycle = cert;
+        s.critical_cycle.cycle_cost = certifier.numerator_at(p);
+        s.critical_cycle.ratio = s.period;
+        s.detail = detail;
+        s.request_id = p;
+        s.worker_id = worker_id;
+      }
+      const double share = clock.elapsed_ms() / static_cast<double>(end - anchor);
+      for (i64 p = anchor + 1; p <= end; ++p) {
+        results[static_cast<std::size_t>(p)].elapsed_ms = share;
+      }
     }
     prev_region_k = cert.k;
     have_prev_region = true;

@@ -215,19 +215,18 @@ bool emit_buffer_arcs(const CsdfGraph& g, const RepetitionVector& rv, const Buff
 
 // ---- content fingerprints (cross-variant cache keying) ----------------------
 
-/// Content-snapshot pieces (push_back into cleared vectors — capacity is
-/// retained, so re-snapshotting a same-shaped variant allocates nothing).
-/// Split so patch rounds refresh only what the diff saw change: durations
-/// feed only L payloads, the buffer part only arc structure.
-void snapshot_durations(const CsdfGraph& g, ConstraintGraphCache& cache) {
+/// Records the exact model content the companion graph encodes: per-task
+/// phase counts, all durations, per-buffer (src, dst, M0, q_src) and all
+/// rate vectors (push_back into cleared vectors — capacity is retained, so
+/// re-snapshotting allocates nothing once warm).
+void snapshot_model(const CsdfGraph& g, const BufferSeq& bufs, const RepetitionVector& rv,
+                    ConstraintGraphCache& cache) {
+  cache.key_task_phi.clear();
   cache.key_dur.clear();
   for (const Task& t : g.tasks()) {
+    cache.key_task_phi.push_back(t.phases());
     cache.key_dur.insert(cache.key_dur.end(), t.durations.begin(), t.durations.end());
   }
-}
-
-void snapshot_buffers(const BufferSeq& bufs, const RepetitionVector& rv,
-                      ConstraintGraphCache& cache) {
   cache.key_buf.clear();
   cache.key_rates.clear();
   for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
@@ -241,15 +240,34 @@ void snapshot_buffers(const BufferSeq& bufs, const RepetitionVector& rv,
   }
 }
 
-/// Records the exact model content the companion graph encodes: per-task
-/// phase counts, all durations, per-buffer (src, dst, M0, q_src) and all
-/// rate vectors.
-void snapshot_model(const CsdfGraph& g, const BufferSeq& bufs, const RepetitionVector& rv,
-                    ConstraintGraphCache& cache) {
-  cache.key_task_phi.clear();
-  for (const Task& t : g.tasks()) cache.key_task_phi.push_back(t.phases());
-  snapshot_durations(g, cache);
-  snapshot_buffers(bufs, rv, cache);
+/// After a patch round: rewrites in place only the snapshot entries the
+/// diff saw move — the durations of tasks flagged in task_recost (when
+/// `durations`) and the (M0, q_src) words and rate vectors of buffers
+/// flagged in buf_touched (when `buffers`). The graph has the snapshot's
+/// shape, and phase counts and endpoints fix every entry's length, so
+/// every offset stays where it is.
+void refresh_snapshot(const CsdfGraph& g, const BufferSeq& bufs, const RepetitionVector& rv,
+                      ConstraintGraphCache& cache, bool durations, bool buffers) {
+  if (durations) {
+    auto at = cache.key_dur.begin();
+    for (std::size_t t = 0; t < cache.task_recost.size(); ++t) {
+      const std::vector<i64>& dur = g.tasks()[t].durations;
+      if (cache.task_recost[t] != 0) std::copy(dur.begin(), dur.end(), at);
+      at += static_cast<std::ptrdiff_t>(dur.size());
+    }
+  }
+  if (buffers) {
+    auto at = cache.key_rates.begin();
+    for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
+      const Buffer& b = bufs[bid];
+      if (cache.buf_touched[bid] != 0) {
+        cache.key_buf[4 * bid + 2] = b.initial_tokens;
+        cache.key_buf[4 * bid + 3] = rv.of(b.src);
+        std::copy(b.cons.begin(), b.cons.end(), std::copy(b.prod.begin(), b.prod.end(), at));
+      }
+      at += static_cast<std::ptrdiff_t>(b.prod.size() + b.cons.size());
+    }
+  }
 }
 
 /// True iff buffer `bid`'s content fingerprint — marking, producer q, rate
@@ -586,11 +604,10 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
   bool any_content = false;  // some buffer's marking/q/rates moved
   bool aside = false;        // the touched buffers' arcs sit in cache.aside
   i64 touched = 0;           // buffers re-enumerated this round
-  // Refresh only the snapshot pieces the diff saw move: a pure-K round (the
-  // K-Iter common case) proved the whole snapshot still current.
-  auto refresh_snapshot = [&] {
-    if (any_recost) snapshot_durations(g, cache);
-    if (any_content) snapshot_buffers(bufs, rv, cache);
+  // Refresh only the snapshot entries the diff saw move: a pure-K round
+  // (the K-Iter common case) proved the whole snapshot still current.
+  auto finish_patch = [&] {
+    refresh_snapshot(g, bufs, rv, cache, any_recost, any_content);
     cache.last_regenerated_buffers = touched;
   };
   if (patch) {
@@ -651,7 +668,7 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
         return false;
       }
       if (rewrite_in_place(g, bufs, cg, cache)) {
-        refresh_snapshot();
+        finish_patch();
         ++cache.payload_rounds;
         return true;
       }
@@ -777,7 +794,7 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
   // both sides — warm patched rounds allocate nothing).
   std::swap(cg, scratch);
   cache.buf_arc_begin.swap(cache.scratch_arc_begin);
-  refresh_snapshot();
+  finish_patch();
   ++cache.patched_rounds;
   return true;
 }

@@ -111,9 +111,13 @@ struct ConstraintPoll {
 /// the H payloads; the producer's phase durations determine the L payloads
 /// (and nothing else). The cache keeps an exact flattened snapshot of that
 /// content for the model the companion graph encodes — exact values, not
-/// hashes, so a fingerprint match is a guarantee, and re-snapshotting into
-/// the retained vectors allocates nothing once warm. Diffing a new
-/// (graph, K) request against the snapshot classifies every buffer:
+/// hashes, so a fingerprint match is a guarantee. A full rebuild writes the
+/// whole snapshot into the retained vectors (allocation-free once warm); a
+/// patch round rewrites in place only the entries its diff saw move — the
+/// durations of tasks whose durations changed, the marking, q and rate
+/// words of touched buffers — because a same-shaped graph keeps every
+/// entry's offset. Diffing a new (graph, K) request against the snapshot
+/// classifies every buffer:
 ///
 ///   * fingerprint identical            -> splice the recorded span verbatim
 ///                                         (constant per-task node-id shift);
@@ -166,7 +170,8 @@ struct ConstraintGraphCache {
   /// Content snapshot of the source model (see the class comment):
   /// per task phi(t); all durations concatenated in task order; per buffer
   /// (src, dst, M0, q_src); all rate vectors concatenated in buffer order
-  /// (prod then cons).
+  /// (prod then cons). Written whole by a rebuild, entry by entry (only
+  /// what moved) by a patch.
   std::vector<i64> key_task_phi;
   std::vector<i64> key_dur;
   std::vector<i64> key_buf;

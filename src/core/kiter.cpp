@@ -58,6 +58,22 @@ bool update_k(std::vector<i64>& k, const RepetitionVector& rv,
   return changed;
 }
 
+/// (buffer count) × (Σ_t K_t·φ(t))², in O(tasks): a buffer pairs at most
+/// every node of the constraint graph with every node, so this bounds
+/// constraint_pair_count from above. Saturates at k_i128_max.
+i128 pair_count_bound(const CsdfGraph& g, const std::vector<i64>& k, std::size_t buffers) {
+  i128 nodes = 0;
+  for (TaskId t = 0; t < g.task_count(); ++t) {
+    nodes += i128{k[static_cast<std::size_t>(t)]} * g.phases(t);  // < 2^94 per task
+  }
+  i128 square = 0;
+  i128 bound = 0;
+  if (!try_mul(nodes, nodes, square) || !try_mul(square, static_cast<i128>(buffers), bound)) {
+    return k_i128_max;
+  }
+  return bound;
+}
+
 }  // namespace
 
 KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
@@ -169,12 +185,15 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
     // when the previous round's graph is cached — the cost of patching it,
     // which on rounds whose critical circuit touched few tasks is far below
     // a full build. That is "the cheapest of the three exceeds the cap",
-    // evaluated cheapest model first and only as far as the decision needs:
-    // the pair count alone admits most rounds. Only a warm cache changes
-    // the price; the cold fallback inside the patch estimate would just
-    // recompute the stride estimate.
+    // evaluated cheapest model first and only as far as the decision needs.
+    // An O(tasks) upper bound on the pair count goes first: a round under
+    // it is under the pair count too, so it admits most rounds with no
+    // per-buffer walk and never changes the decision. Only a warm cache
+    // changes the price; the cold fallback inside the patch estimate would
+    // just recompute the stride estimate.
     const i128 cap = options.max_constraint_pairs;
     const bool over_cap =
+        pair_count_bound(g, k, g.buffers().size() + extra.size()) > cap &&
         constraint_pair_count(g, k, extra) > cap && constraint_work_estimate(g, k, extra) > cap &&
         !(options.incremental && ws.cache.valid &&
           constraint_patch_work_estimate(g, rv, ws.constraints.k, k, ws.cache, extra) <= cap);

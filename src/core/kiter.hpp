@@ -106,9 +106,13 @@ struct KIterOptions {
   /// warm cache, the diff-and-patch cost (constraint_patch_work_estimate,
   /// typically far below both on small-circuit rounds) — exceeds this (the
   /// graph2/graph3-style blowups); the run then returns ResourceLimit with
-  /// the best achievable bound so far. The cheap pair count is tried first
-  /// and the estimates only while every model tried so far is over the
-  /// cap, so a round the pair count admits pays for no estimate. Note: a
+  /// the best achievable bound so far. An O(tasks) upper bound on the pair
+  /// count — (buffer count, extra included) × (Σ_t K_t·φ(t))² — is checked
+  /// first: a round at or under the cap there is under it by the pair count
+  /// too, so it is admitted without walking a buffer and the decision is
+  /// the same. Above the bound the cheap pair count is tried next and the
+  /// estimates only while every model tried so far is over the cap, so a
+  /// round the pair count admits pays for no estimate. Note: a
   /// structural ResourceLimit exit (this guard or max_rounds) with a
   /// feasible bound re-evaluates the best K once to report its schedule;
   /// time/cancel exits skip that re-evaluation so they return promptly.

@@ -135,18 +135,87 @@ bool RegionCertifier::valid_at(i64 s, McrpScratch& mcrp) {
   return !has_positive_cycle(bg, costs_, Rational(num, 1) / cert_->cycle_time, mcrp);
 }
 
-i64 RegionCertifier::region_end(i64 s_last, McrpScratch& mcrp) {
-  if (s_last <= s_anchor_) return s_anchor_;
-  if (valid_at(s_last, mcrp)) return s_last;
-  i64 lo = s_anchor_;  // valid: certified by the anchor's own exact solve
-  i64 hi = s_last;     // invalid: just checked
-  while (hi - lo > 1) {
-    const i64 mid = lo + (hi - lo) / 2;
-    if (valid_at(mid, mcrp)) {
-      lo = mid;
-    } else {
-      hi = mid;
+std::optional<i128> RegionCertifier::crossing_offset(i64 hi, const McrpScratch& mcrp) const {
+  const i128 c0 = cert_->cycle_cost;
+  const i128 ds = i128{hi} - i128{s_anchor_};
+  if (checked_add(c0, checked_mul(ds, i128{num_slope_})) <= 0) {
+    // The Unbounded guard: from C > 0 at the anchor the numerator falls at
+    // slope σ < 0 and stays positive exactly up to ⌊(C−1)/(−σ)⌋ samples on.
+    if (num_slope_ >= 0) {
+      throw SolverError("region_end: cert numerator fell without a negative slope (invariant breach)");
     }
+    return (c0 - 1) / -i128{num_slope_};
+  }
+  // has_positive_cycle left a circuit c′ that is positive at hi. With c the
+  // cert, g(s) = L_c′(s)·H_c − L_c(s)·H_c′ is affine in s (H is constant
+  // along the ray), ≤ 0 at the anchor, whose exact solve bounds every
+  // circuit, and > 0 at hi; scaled by the H denominators it is an integer.
+  const std::span<const std::int32_t> witness = mcrp.bf_cycle;
+  if (witness.empty()) {
+    throw SolverError("region_end: failed check left no witness circuit (invariant breach)");
+  }
+  const std::span<const i64> costs = cg_->graph.costs();
+  i128 lw = 0;  // L_c′ at the anchor
+  i128 sw = 0;  // dL_c′/ds
+  for (const std::int32_t a : witness) {
+    lw += costs[static_cast<std::size_t>(a)];
+    sw += arc_slope_[static_cast<std::size_t>(a)];
+  }
+  Rational hw;
+  try {
+    hw = cg_->graph.cycle_time(witness);
+  } catch (const OverflowError&) {
+    return std::nullopt;
+  }
+  const Rational& hc = cert_->cycle_time;
+  i128 cw = 0;
+  i128 wc = 0;
+  i128 left = 0;
+  i128 right = 0;
+  i128 g0 = 0;     // g(anchor)·den(H_c)·den(H_c′)
+  i128 slope = 0;  // its slope in s
+  if (!try_mul(hc.num(), hw.den(), cw) || !try_mul(hw.num(), hc.den(), wc) ||
+      !try_mul(lw, cw, left) || !try_mul(c0, wc, right) || !try_sub(left, right, g0) ||
+      !try_mul(sw, cw, left) || !try_mul(i128{num_slope_}, wc, right) ||
+      !try_sub(left, right, slope)) {
+    return std::nullopt;
+  }
+  if (slope <= 0) {
+    throw SolverError("region_end: witness circuit does not rise against the cert (invariant breach)");
+  }
+  // g > 0, so c′ is positive, at every sample past this offset.
+  return floor_div(-g0, slope);
+}
+
+i64 RegionCertifier::region_end(i64 s_last, McrpScratch& mcrp) {
+  checks_ = 0;
+  auto check = [&](i64 s) {
+    ++checks_;
+    return valid_at(s, mcrp);
+  };
+  if (s_last <= s_anchor_) return s_anchor_;
+  if (check(s_last)) return s_last;
+  i64 lo = s_anchor_;     // valid: certified by the anchor's own exact solve
+  i64 hi = s_last;        // invalid: just checked
+  bool witnessed = true;  // the last check was the one that failed at hi
+  while (hi - lo > 1) {
+    const std::optional<i128> offset =
+        witnessed ? crossing_offset(hi, mcrp) : std::optional<i128>{};
+    if (offset.has_value()) {
+      // Every sample above `next` fails, so the walk's next probe is there.
+      const i128 next = i128{s_anchor_} + *offset;
+      if (next < lo || next >= hi) {
+        throw SolverError("region_end: crossing point makes no progress (invariant breach)");
+      }
+      if (next == lo || check(static_cast<i64>(next))) return static_cast<i64>(next);
+      hi = static_cast<i64>(next);
+      continue;
+    }
+    // The crossing arithmetic overflowed (or hi's witness is gone): one
+    // bisection step.
+    const i64 mid = lo + (hi - lo) / 2;
+    witnessed = !check(mid);
+    (witnessed ? hi : lo) = mid;
   }
   return lo;
 }

@@ -18,8 +18,11 @@
 // positive-cycle check per endpoint (has_positive_cycle: the MCRP solver's
 // Bellman–Ford kernel on scaled-integer labels) certifies every sample
 // between them. RegionCertifier exploits this: a region's right edge is
-// found in O(log range) checks, and every in-region sample's period is an
-// O(|coeffs|) rational evaluation — no K-iteration, no MCRP solve.
+// found by a walk down from the end of the ray that jumps from each failed
+// check straight to the point where the circuit that failed it crosses the
+// cert (about two checks per region on a sweep's curves), and every
+// in-region sample's period is an O(|coeffs|) rational evaluation — no
+// K-iteration, no MCRP solve.
 //
 // Optimality transfers across the region: Theorem 4's test depends only on
 // K and the critical circuit's task set, both constant while the cert
@@ -28,6 +31,7 @@
 // the evaluated Rationals are bit-identical to cold per-point solves.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -111,18 +115,39 @@ class RegionCertifier {
   [[nodiscard]] bool valid_at(i64 s, McrpScratch& mcrp);
 
   /// Largest s in [s_anchor, s_last] with valid_at(s). Probes s_last first
-  /// (whole-range regions cost one check), then bisects — sound because
-  /// validity is an interval of samples containing the anchor, which its
-  /// own solve certified.
+  /// (whole-range regions cost one check), then walks down, each failed
+  /// check naming the samples it rules out:
+  ///   * numerator C + (s−a)·σ ≤ 0 at the probe: σ < 0, and no sample past
+  ///     a + ⌊(C−1)/(−σ)⌋ keeps it positive;
+  ///   * otherwise the positive circuit c′ has_positive_cycle found:
+  ///     g(s) = L_c′(s)·H_c − L_c(s)·H_c′ is affine, ≤ 0 at the anchor a
+  ///     and > 0 at the probe, so c′ is positive at every sample past
+  ///     a + ⌊−g(a)/g′⌋.
+  /// The next probe is the largest sample not ruled out; the first that
+  /// passes is the end. Validity is an interval of samples containing the
+  /// anchor (the period along the ray is a maximum of affine functions,
+  /// hence convex), so this is exactly the sample a bisection over
+  /// [s_anchor, s_last] returns. When the crossing arithmetic overflows,
+  /// the walk takes a bisection step instead; a crossing with g′ ≤ 0 or
+  /// one that makes no progress is a SolverError (invariant breach).
   [[nodiscard]] i64 region_end(i64 s_last, McrpScratch& mcrp);
 
+  /// valid_at calls the last region_end made (its first probe included).
+  [[nodiscard]] int last_checks() const noexcept { return checks_; }
+
  private:
+  /// After valid_at(hi) failed (its circuit, if any, still in
+  /// mcrp.bf_cycle): the offset from the anchor of the largest sample that
+  /// failure does not rule out; nullopt when the arithmetic overflows.
+  [[nodiscard]] std::optional<i128> crossing_offset(i64 hi, const McrpScratch& mcrp) const;
+
   const ConstraintGraph* cg_ = nullptr;
   const CriticalCycleCert* cert_ = nullptr;
   i64 s_anchor_ = 0;
   i64 num_slope_ = 0;              // d(cert numerator)/ds
   std::vector<i64> arc_slope_;     // per arc: dL/ds
   std::vector<i64> costs_;         // per arc: L(s) scratch
+  int checks_ = 0;                 // valid_at calls of the last region_end
 };
 
 }  // namespace kp

@@ -42,7 +42,13 @@ void Rational::normalize() {
 
 Rational Rational::reciprocal() const {
   if (num_ == 0) throw ModelError("reciprocal of zero");
-  return Rational(den_, num_);
+  // Swapping a reduced fraction keeps it reduced, so no gcd runs. The sign
+  // moves to the new numerator; neither word is INT128_MIN, so negating is
+  // exact.
+  Rational r;
+  r.num_ = num_ < 0 ? -den_ : den_;
+  r.den_ = num_ < 0 ? -num_ : num_;
+  return r;
 }
 
 Rational& Rational::operator+=(const Rational& o) {

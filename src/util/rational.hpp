@@ -69,6 +69,8 @@ class Rational {
     return r;
   }
 
+  /// 1/x, built by swapping the words (a reduced fraction's swap is
+  /// reduced, so no gcd runs). Throws ModelError for zero.
   [[nodiscard]] Rational reciprocal() const;
 
   Rational& operator+=(const Rational& o);

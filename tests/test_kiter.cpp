@@ -12,6 +12,7 @@
 #include "gen/random_csdf.hpp"
 #include "model/transform.hpp"
 #include "sim/selftimed.hpp"
+#include "util/rng.hpp"
 
 namespace kp {
 namespace {
@@ -124,21 +125,23 @@ struct RoundPrice {
   i128 patch = -1;
 };
 
-std::vector<RoundPrice> price_rounds(const CsdfGraph& g) {
+std::vector<RoundPrice> price_rounds(const CsdfGraph& g, std::span<const Buffer> extra = {}) {
   const RepetitionVector rv = compute_repetition_vector(g);
   KIterOptions options;
   options.record_trace = true;
-  const KIterResult traced = kiter_throughput(g, rv, options);
+  KIterWorkspace traced_ws;
+  const KIterResult traced = kiter_throughput(g, rv, options, traced_ws, extra);
   KIterWorkspace ws;
   std::vector<RoundPrice> out;
   for (const KIterRound& round : traced.trace) {
-    RoundPrice price{round.k, constraint_pair_count(g, round.k),
-                     constraint_work_estimate(g, round.k)};
+    RoundPrice price{round.k, constraint_pair_count(g, round.k, extra),
+                     constraint_work_estimate(g, round.k, extra)};
     if (ws.cache.valid) {
-      price.patch = constraint_patch_work_estimate(g, rv, ws.constraints.k, round.k, ws.cache);
+      price.patch =
+          constraint_patch_work_estimate(g, rv, ws.constraints.k, round.k, ws.cache, extra);
     }
     out.push_back(price);
-    (void)evaluate_k_periodic_round_incremental(g, rv, round.k, McrpOptions{}, ws);
+    (void)evaluate_k_periodic_round_incremental(g, rv, round.k, McrpOptions{}, ws, nullptr, extra);
   }
   return out;
 }
@@ -198,6 +201,78 @@ TEST(KIter, GuardRefusesARoundEveryPriceExceeds) {
   ASSERT_TRUE(r.has_feasible_bound);
   EXPECT_EQ(r.period, Rational{16});
   EXPECT_EQ(r.k, prices[2].k);
+}
+
+TEST(KIter, NodeBoundAdmitsOnlyWhatThePairCountAdmits) {
+  // The guard first admits any round with (buffers) × (Σ_t K_t·φ(t))² at or
+  // under the cap, which bounds the pair count from above, so the decision
+  // must be the three-price rule's. Caps just below and at the first
+  // round's pair count and at that bound: round 0 (cold cache, no patch
+  // price) is refused exactly when the pair count and the stride estimate
+  // both exceed the cap, and each later round when all three prices of the
+  // uncapped run do. Half the graphs pass their serialization loops as
+  // extra buffers, which the bound must count too; the first three are one
+  // task with no buffer of its own, where the loop is every pair there is.
+  Rng rng(2316);
+  RandomCsdfOptions gen;
+  gen.min_tasks = 2;
+  gen.max_tasks = 7;
+  gen.max_q = 6;
+  int refused_first = 0;
+  int admitted_first = 0;
+  int refused_later = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    CsdfGraph base("lone");
+    if (trial < 3) {
+      base.add_task("A", std::vector<i64>(static_cast<std::size_t>(trial + 1), 2));
+    } else {
+      base = random_csdf(rng, gen);
+      if (trial % 3 == 0) base = apply_default_buffer_capacities(base, 1, 1);
+    }
+    const bool as_extra = trial % 2 == 0;
+    std::vector<Buffer> loops;
+    const CsdfGraph g = as_extra ? base : add_serialization_buffers(base);
+    const std::span<const Buffer> extra =
+        as_extra ? serialization_buffers_into(base, loops) : std::span<const Buffer>{};
+    const RepetitionVector rv = compute_repetition_vector(g);
+    KIterWorkspace uncapped_ws;
+    const KIterResult uncapped = kiter_throughput(g, rv, KIterOptions{}, uncapped_ws, extra);
+    const std::vector<RoundPrice> prices = price_rounds(g, extra);
+    ASSERT_FALSE(prices.empty());
+    i128 nodes = 0;
+    for (TaskId t = 0; t < g.task_count(); ++t) nodes += g.phases(t);
+    const i128 bound = static_cast<i128>(g.buffers().size() + extra.size()) * nodes * nodes;
+    ASSERT_GE(bound, prices[0].pairs);
+
+    for (const i128 cap : {prices[0].pairs - 1, prices[0].pairs, bound - 1, bound}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + ", cap " + to_string(cap));
+      std::size_t stop = prices.size();
+      for (std::size_t r = 0; r < prices.size() && stop == prices.size(); ++r) {
+        const RoundPrice& p = prices[r];
+        if (p.pairs > cap && p.stride > cap && !(p.patch >= 0 && p.patch <= cap)) stop = r;
+      }
+      KIterOptions options;
+      options.max_constraint_pairs = cap;
+      KIterWorkspace ws;
+      const KIterResult r = kiter_throughput(g, rv, options, ws, extra);
+      if (stop < prices.size()) {
+        EXPECT_EQ(r.status, ThroughputStatus::ResourceLimit);
+        EXPECT_EQ(r.rounds, static_cast<int>(stop));
+        EXPECT_EQ(r.k, prices[stop].k);
+      } else {
+        EXPECT_EQ(r.status, uncapped.status);
+        EXPECT_EQ(r.rounds, uncapped.rounds);
+        EXPECT_EQ(r.k, uncapped.k);
+        EXPECT_EQ(r.period, uncapped.period);
+      }
+      refused_first += stop == 0 ? 1 : 0;
+      admitted_first += stop > 0 ? 1 : 0;
+      refused_later += stop > 0 && stop < prices.size() ? 1 : 0;
+    }
+  }
+  EXPECT_GT(refused_first, 0);
+  EXPECT_GT(admitted_first, 0);
+  EXPECT_GT(refused_later, 0);
 }
 
 TEST(KIter, UpdatePoliciesAgreeOnFigure2) {

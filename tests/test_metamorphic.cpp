@@ -12,6 +12,14 @@
 // leave the i64 label width, so the same trajectories also run on i128
 // labels. Half the graphs get tight buffer capacities, so K-Iter takes
 // several rounds. A failure names its seed and prints the graph.
+//
+// Monotonicity: a token added to any buffer never raises the period, and a
+// raised duration never lowers it (a deadlocked graph counts as an
+// infinite period, an unbounded one as zero). Checked cold, one step from
+// each graph, and along 32-point warm analyze_variants sweeps — markings
+// of one buffer, durations of one task — whose same-shaped variants run
+// through the constraint cache's patch rounds; each sweep's last point
+// must also equal its cold analysis.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -117,6 +125,92 @@ TEST(Metamorphic, ScalingDurationsScalesThePeriodAndNothingElse) {
   EXPECT_GE(cold_values, 70);
   EXPECT_GE(warm_values, 350);
   EXPECT_GE(multi_round, 12) << "some graphs must take several K-Iter rounds";
+}
+
+/// The period as an order on outcomes: Unbounded is 0, Deadlock +∞.
+/// True iff a's period <= b's.
+bool period_at_most(const Analysis& a, const Analysis& b) {
+  EXPECT_TRUE(a.outcome == Outcome::Value || a.outcome == Outcome::Deadlock ||
+              a.outcome == Outcome::Unbounded);
+  EXPECT_TRUE(b.outcome == Outcome::Value || b.outcome == Outcome::Deadlock ||
+              b.outcome == Outcome::Unbounded);
+  if (b.outcome == Outcome::Deadlock || a.outcome == Outcome::Unbounded) return true;
+  if (a.outcome == Outcome::Deadlock || b.outcome == Outcome::Unbounded) return false;
+  return a.period <= b.period;
+}
+
+std::string describe(const Analysis& a) {
+  if (a.outcome == Outcome::Deadlock) return "deadlock";
+  if (a.outcome == Outcome::Unbounded) return "unbounded";
+  return a.period.to_string();
+}
+
+/// Expects `sweep` to be the analyses of `deltas` on `base`, ordered so
+/// that each point's period is at least (raising) or at most (!raising)
+/// the previous one's, with the last point equal to its cold analysis.
+void expect_monotone_sweep(const CsdfGraph& base, const std::vector<GraphDelta>& deltas,
+                           const std::vector<Analysis>& sweep, bool raising) {
+  ASSERT_EQ(sweep.size(), deltas.size());
+  for (std::size_t i = 1; i < sweep.size(); ++i) {
+    const Analysis& lower = raising ? sweep[i - 1] : sweep[i];
+    const Analysis& upper = raising ? sweep[i] : sweep[i - 1];
+    ASSERT_TRUE(period_at_most(lower, upper))
+        << "point " << i << ": " << describe(sweep[i - 1]) << " then " << describe(sweep[i]);
+  }
+  const Analysis cold = analyze_throughput(make_variant(base, deltas.back()), Method::KIter);
+  ASSERT_EQ(sweep.back().outcome, cold.outcome);
+  EXPECT_EQ(sweep.back().period, cold.period);
+}
+
+TEST(Metamorphic, TokensNeverRaiseAndDurationsNeverLowerThePeriod) {
+  constexpr i64 kPoints = 32;
+  int moved = 0;  // sweeps whose period changed somewhere along the way
+  for (u64 seed = 1; seed <= 80; ++seed) {
+    const CsdfGraph g = graph_for_seed(seed);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", graph:\n" + print_csdf(g));
+    Rng rng(seed * 7919);
+    const Analysis base = analyze_throughput(g, Method::KIter);
+    const auto b = static_cast<BufferId>(rng.uniform(0, g.buffer_count() - 1));
+    const auto t = static_cast<TaskId>(rng.uniform(0, g.task_count() - 1));
+    const auto p = static_cast<std::size_t>(rng.uniform(0, g.phases(t) - 1));
+    const i64 step = rng.uniform(1, 3);
+
+    // Cold: one token more on buffer b, one step more on phase p of task t.
+    CsdfGraph more_tokens = g;
+    more_tokens.set_initial_tokens(b, g.buffer(b).initial_tokens + 1);
+    ASSERT_TRUE(period_at_most(analyze_throughput(more_tokens, Method::KIter), base));
+    CsdfGraph slower = g;
+    std::vector<i64> durations = g.task(t).durations;
+    durations[p] += step;
+    slower.set_durations(t, durations);
+    ASSERT_TRUE(period_at_most(base, analyze_throughput(slower, Method::KIter)));
+
+    // Warm: 32 markings of buffer b, 32 durations of phase p of task t.
+    VariantBatch marking;
+    marking.base = g;
+    for (i64 j = 0; j < kPoints; ++j) {
+      GraphDelta d;
+      d.markings.push_back({b, g.buffer(b).initial_tokens + j});
+      marking.deltas.push_back(std::move(d));
+    }
+    VariantBatch timing;
+    timing.base = g;
+    durations = g.task(t).durations;
+    for (i64 j = 0; j < kPoints; ++j) {
+      GraphDelta d;
+      d.exec_times.push_back({t, durations});
+      timing.deltas.push_back(std::move(d));
+      durations[p] += step;
+    }
+    ThroughputService service(ServiceOptions{0});
+    const std::vector<Analysis> by_marking = service.analyze_variants(marking);
+    const std::vector<Analysis> by_timing = service.analyze_variants(timing);
+    expect_monotone_sweep(g, marking.deltas, by_marking, false);
+    expect_monotone_sweep(g, timing.deltas, by_timing, true);
+    moved += by_marking.front().period != by_marking.back().period ? 1 : 0;
+    moved += by_timing.front().period != by_timing.back().period ? 1 : 0;
+  }
+  EXPECT_GE(moved, 60) << "the sweeps must actually move the period";
 }
 
 }  // namespace

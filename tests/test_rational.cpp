@@ -265,6 +265,56 @@ TEST(Rational, FastPathsAgreeWithReferencesOnRandomPairs) {
   }
 }
 
+// reciprocal() swaps the words of a reduced fraction and moves the sign to
+// the numerator, with no gcd. The reference is the normalizing constructor
+// on the swapped words; operator/= multiplies by the reciprocal, so each
+// quotient must equal the product with that reference (or both overflow).
+// 10^5 seeded fractions of both signs, one in four with denominator 1, with
+// numerators and denominators of 1, 62, 63, 64 and 126 bits.
+TEST(Rational, ReciprocalMatchesNormalizedReference) {
+  Rng rng(23);
+  const std::vector<int> bits{1, 62, 63, 64, 126};
+  const auto random_rational = [&] {
+    const i128 num = random_magnitude(rng, rng.pick(bits)) * (rng.chance(1, 2) ? 1 : -1);
+    const i128 den = rng.chance(1, 4) ? 1 : random_magnitude(rng, rng.pick(bits));
+    return Rational(num, den);
+  };
+  int quotients = 0;
+  int overflows = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const Rational x = random_rational();
+    const Rational want(x.den(), x.num());
+    const Rational got = x.reciprocal();
+    ASSERT_EQ(got.num(), want.num()) << "fraction " << i << ": " << x;
+    ASSERT_EQ(got.den(), want.den()) << "fraction " << i << ": " << x;
+
+    const Rational y = random_rational();
+    std::optional<Rational> quotient;
+    std::optional<Rational> product;
+    try {
+      Rational q = y;
+      q /= x;
+      quotient = q;
+    } catch (const OverflowError&) {
+    }
+    try {
+      product = y * want;
+    } catch (const OverflowError&) {
+    }
+    ASSERT_EQ(quotient.has_value(), product.has_value()) << y << " / " << x;
+    if (quotient) {
+      ASSERT_EQ(*quotient, *product) << y << " / " << x;
+      ++quotients;
+    } else {
+      ++overflows;
+    }
+  }
+  EXPECT_GT(quotients, 20000);
+  EXPECT_GT(overflows, 20000);
+  EXPECT_THROW((void)Rational{}.reciprocal(), ModelError);
+  EXPECT_THROW((void)(Rational{3} / Rational{}), ModelError);
+}
+
 // Property sweep: field axioms and order consistency on random rationals.
 class RationalProperty : public ::testing::TestWithParam<u64> {};
 

@@ -25,9 +25,16 @@
 //      unchanged values.
 //   8. Acceptance shape: a 120-point exec-time sweep on the 16-task gcd
 //      chain is served with <= 10 exact solves.
+//   9. Region ends: the crossing-point walk of RegionCertifier::region_end
+//      returns, at every anchor of 240 seeded 64-point rays, the sample the
+//      bisection it replaced returns — rays ending at the Unbounded guard
+//      and curves whose region ends take several jumps included — with
+//      fewer checks in total; a crossing whose arithmetic overflows i128
+//      falls back to bisection steps and still ends where bisection does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -36,6 +43,7 @@
 #include "core/regions.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/random_csdf.hpp"
+#include "io/text_format.hpp"
 #include "model/transform.hpp"
 #include "util/rng.hpp"
 
@@ -356,6 +364,137 @@ TEST(Regions, GcdChainSweepNeedsFewExactSolves) {
                               std::size_t{118}, std::size_t{119}}) {
     expect_value_identical(sym[i], cold_point(base, deltas[i]), "point " + std::to_string(i));
   }
+}
+
+// ---- 9. region ends: crossing-point walk vs bisection -------------------------
+
+/// The region_end the crossing-point walk replaced, kept as the reference:
+/// probe s_last, then bisect [s_anchor, s_last] with valid_at. Adds its
+/// valid_at calls to `checks`.
+i64 bisected_region_end(RegionCertifier& certifier, i64 s_anchor, i64 s_last,
+                        McrpScratch& mcrp, i64& checks) {
+  if (s_last <= s_anchor) return s_anchor;
+  ++checks;
+  if (certifier.valid_at(s_last, mcrp)) return s_last;
+  i64 lo = s_anchor;
+  i64 hi = s_last;
+  while (hi - lo > 1) {
+    const i64 mid = lo + (hi - lo) / 2;
+    ++checks;
+    if (certifier.valid_at(mid, mcrp)) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+TEST(Regions, RegionEndMatchesBisection) {
+  const i64 kLast = 63;  // 64-point rays
+  Rng rng(20261018);
+  RandomCsdfOptions options;
+  options.max_phases = 3;
+  options.max_q = 5;
+  std::vector<i64> s(static_cast<std::size_t>(kLast + 1));
+  std::iota(s.begin(), s.end(), i64{0});
+  KIterOptions kiter;
+  kiter.want_schedule = false;
+  int anchors = 0;
+  int guarded = 0;     // region ends whose first probe failed the numerator guard
+  int multi_jump = 0;  // region ends that took two or more jumps
+  i64 walk_checks = 0;
+  i64 bisection_checks = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    // Every fourth graph has two tasks, both on the ray with every phase
+    // falling to exactly zero at the last sample: each anchor's cert
+    // numerator reaches 0 there (the Unbounded guard). The others put one
+    // or two tasks on the ray with steps of either sign, so their periods
+    // are maxima of several affine pieces.
+    const bool drain = trial % 4 == 0;
+    options.min_tasks = drain ? 2 : 3;
+    options.max_tasks = drain ? 2 : 7;
+    CsdfGraph base = random_csdf(rng, options);
+    if (trial % 3 == 1) base = apply_default_buffer_capacities(base, 1, 1);
+    ExecTimeRay ray;
+    const int axes = drain ? 2 : 1 + static_cast<int>(rng.uniform(0, 1));
+    const auto first = static_cast<TaskId>(rng.uniform(0, base.task_count() - 1));
+    for (int x = 0; x < axes; ++x) {
+      ExecTimeRay::Axis axis;
+      axis.task = static_cast<TaskId>((first + x) % base.task_count());
+      for (std::int32_t p = 0; p < base.phases(axis.task); ++p) {
+        const i64 step = (drain || rng.chance(1, 3) ? -1 : 1) * rng.uniform(1, 3);
+        i64 start = rng.uniform(0, 10);
+        if (step < 0) start = -step * kLast + (drain ? 0 : rng.uniform(0, 20));
+        axis.base.push_back(start);
+        axis.step.push_back(step);
+      }
+      ray.axes.push_back(std::move(axis));
+    }
+    const std::vector<GraphDelta> deltas = exec_time_sweep(base, ray, s);
+    KIterWorkspace ws;
+    RegionCertifier certifier;
+    for (i64 a = 0; a <= kLast; ++a) {
+      const CsdfGraph g =
+          add_serialization_buffers(make_variant(base, deltas[static_cast<std::size_t>(a)]));
+      const KIterResult r = kiter_throughput(g, compute_repetition_vector(g), kiter, ws);
+      if (r.status != ThroughputStatus::Optimal) continue;
+      const CriticalCycleCert cert = extract_critical_cycle_cert(ws.constraints, ws.solved);
+      if (cert.empty()) continue;
+      certifier.prepare(ws.constraints, cert, ray, a);
+      const i64 walked = certifier.region_end(kLast, ws.mcrp);
+      const int checks = certifier.last_checks();
+      ASSERT_EQ(walked, bisected_region_end(certifier, a, kLast, ws.mcrp, bisection_checks))
+          << "trial " << trial << " anchor " << a << ", graph:\n" << print_csdf(base);
+      ++anchors;
+      guarded += walked < kLast && certifier.numerator_at(kLast) <= 0 ? 1 : 0;
+      multi_jump += checks >= 3 ? 1 : 0;
+      walk_checks += checks;
+    }
+  }
+  // About 15,000 anchors, 3,800 guarded ends and 800 multi-jump ends; the
+  // walk makes about 22,500 checks where bisection makes 48,800.
+  EXPECT_GT(anchors, 10000);
+  EXPECT_GT(guarded, 1000);
+  EXPECT_GT(multi_jump, 100);
+  EXPECT_LT(3 * walk_checks, 2 * bisection_checks);
+}
+
+TEST(Regions, CrossingOverflowFallsBackToBisection) {
+  // Two self-loop circuits, built by hand: the cert c (node 0, task 0, off
+  // the ray) with L = 3·2^61 and H = 2^61, ratio 3; and c′ (node 1, task 1,
+  // on the ray d(s) = 2^25·s) with H = 2^67/(2^40 + 1), ratio about s/4.
+  // Anchored at s = 4, c′ overtakes from s = 12 on, and each failed probe's
+  // crossing needs L_c′(4)·num(H_c)·den(H_c′) ≈ 2^128, which overflows: the
+  // walk must bisect, with the reference's probes, to the same end.
+  const i64 kAnchor = 4;
+  const i64 kStep = i64{1} << 25;
+  ConstraintGraph cg;
+  cg.graph.reset(2);
+  cg.graph.add_arc(0, 0, 3 * (i64{1} << 61), Rational(i128{1} << 61, 1));
+  cg.graph.add_arc(1, 1, kAnchor * kStep, Rational(i128{1} << 67, (i128{1} << 40) + 1));
+  cg.k = {1, 1};
+  cg.node_task = {0, 1};
+  cg.node_phase = {1, 1};
+  cg.node_iter = {1, 1};
+  cg.task_first_node = {0, 1};
+  McrpScratch mcrp;
+  McrpResult solved;
+  McrpOptions options;
+  options.compute_potentials = false;
+  solve_max_cycle_ratio(cg.graph, options, mcrp, solved);
+  const CriticalCycleCert cert = extract_critical_cycle_cert(cg, solved);
+  ASSERT_EQ(cert.ratio, Rational(3));
+  ExecTimeRay ray;
+  ray.axes.push_back({1, {0}, {kStep}});
+
+  RegionCertifier certifier;
+  certifier.prepare(cg, cert, ray, kAnchor);
+  const i64 walked = certifier.region_end(63, mcrp);
+  i64 bisection_checks = 0;
+  EXPECT_EQ(walked, bisected_region_end(certifier, kAnchor, 63, mcrp, bisection_checks));
+  EXPECT_EQ(walked, 11);
+  EXPECT_EQ(certifier.last_checks(), bisection_checks);
 }
 
 }  // namespace
