@@ -213,43 +213,33 @@ bool emit_buffer_arcs(const CsdfGraph& g, const RepetitionVector& rv, const Buff
   return true;
 }
 
-// ---- content fingerprints (cross-variant cache keying) ----------------------
+// ---- content snapshot (cross-variant cache keying) --------------------------
 
-/// Records the exact model content the companion graph encodes: per-task
-/// phase counts, all durations, per-buffer (src, dst, M0, q_src) and all
-/// rate vectors (push_back into cleared vectors — capacity is retained, so
-/// re-snapshotting allocates nothing once warm).
-void snapshot_model(const CsdfGraph& g, const BufferSeq& bufs, const RepetitionVector& rv,
+/// Records the exact model content the companion graph encodes: the words
+/// append_content_snapshot writes for (g, extra), where their buffer
+/// triples and rate section start, and q per task (cleared and refilled in
+/// place — re-snapshotting allocates nothing once warm).
+void snapshot_model(const CsdfGraph& g, std::span<const Buffer> extra, const RepetitionVector& rv,
                     ConstraintGraphCache& cache) {
-  cache.key_task_phi.clear();
-  cache.key_dur.clear();
-  for (const Task& t : g.tasks()) {
-    cache.key_task_phi.push_back(t.phases());
-    cache.key_dur.insert(cache.key_dur.end(), t.durations.begin(), t.durations.end());
-  }
-  cache.key_buf.clear();
-  cache.key_rates.clear();
-  for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
-    const Buffer& b = bufs[bid];
-    cache.key_buf.push_back(b.src);
-    cache.key_buf.push_back(b.dst);
-    cache.key_buf.push_back(b.initial_tokens);
-    cache.key_buf.push_back(rv.of(b.src));
-    cache.key_rates.insert(cache.key_rates.end(), b.prod.begin(), b.prod.end());
-    cache.key_rates.insert(cache.key_rates.end(), b.cons.begin(), b.cons.end());
-  }
+  cache.key.clear();
+  append_content_snapshot(g, cache.key, extra);
+  // Layout: task count, phase counts, durations, buffer count, triples.
+  cache.buffers_at = static_cast<std::size_t>(2 + g.task_count() + g.total_phases());
+  cache.rates_at = cache.buffers_at + 3 * (g.buffers().size() + extra.size());
+  cache.key_q.assign(rv.q.begin(), rv.q.end());
 }
 
-/// After a patch round: rewrites in place only the snapshot entries the
-/// diff saw move — the durations of tasks flagged in task_recost (when
-/// `durations`) and the (M0, q_src) words and rate vectors of buffers
-/// flagged in buf_touched (when `buffers`). The graph has the snapshot's
+/// After a patch round: rewrites in place only the snapshot words the diff
+/// saw move — the durations of tasks flagged in task_recost (when
+/// `durations`), and the marking word and rate vectors of buffers flagged
+/// in buf_touched plus q (when `buffers`). The graph has the snapshot's
 /// shape, and phase counts and endpoints fix every entry's length, so
 /// every offset stays where it is.
 void refresh_snapshot(const CsdfGraph& g, const BufferSeq& bufs, const RepetitionVector& rv,
                       ConstraintGraphCache& cache, bool durations, bool buffers) {
   if (durations) {
-    auto at = cache.key_dur.begin();
+    // Durations follow the task count and the phase counts.
+    auto at = cache.key.begin() + 1 + g.task_count();
     for (std::size_t t = 0; t < cache.task_recost.size(); ++t) {
       const std::vector<i64>& dur = g.tasks()[t].durations;
       if (cache.task_recost[t] != 0) std::copy(dur.begin(), dur.end(), at);
@@ -257,36 +247,40 @@ void refresh_snapshot(const CsdfGraph& g, const BufferSeq& bufs, const Repetitio
     }
   }
   if (buffers) {
-    auto at = cache.key_rates.begin();
+    auto at = cache.key.begin() + static_cast<std::ptrdiff_t>(cache.rates_at);
     for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
       const Buffer& b = bufs[bid];
       if (cache.buf_touched[bid] != 0) {
-        cache.key_buf[4 * bid + 2] = b.initial_tokens;
-        cache.key_buf[4 * bid + 3] = rv.of(b.src);
+        cache.key[cache.buffers_at + 3 * bid + 2] = b.initial_tokens;
         std::copy(b.cons.begin(), b.cons.end(), std::copy(b.prod.begin(), b.prod.end(), at));
       }
       at += static_cast<std::ptrdiff_t>(b.prod.size() + b.cons.size());
     }
+    // A buffer whose producer's q moved was touched, so its arcs now carry
+    // the new q. A stale entry would match again once q moves back, and a
+    // span built under the other q would be spliced as current.
+    cache.key_q.assign(rv.q.begin(), rv.q.end());
   }
 }
 
 /// True iff buffer `bid`'s content fingerprint — marking, producer q, rate
 /// vectors — matches the snapshot (endpoint K is diffed separately).
-/// Advances `rate_off` past the buffer's rate entries either way. This is
+/// `rate_at` indexes the buffer's first rate word in the snapshot (start at
+/// cache.rates_at) and advances past its rate words either way. This is
 /// THE buffer classification: build_constraint_graph_incremental and
 /// constraint_patch_work_estimate share it so the kiter resource guard
 /// prices exactly what the patch will do.
 bool buffer_content_matches(const ConstraintGraphCache& cache, const Buffer& b, std::size_t bid,
-                            const RepetitionVector& rv, std::size_t& rate_off) {
-  bool same = cache.key_buf[4 * bid + 2] == b.initial_tokens &&
-              cache.key_buf[4 * bid + 3] == rv.of(b.src);
+                            const RepetitionVector& rv, std::size_t& rate_at) {
+  bool same = cache.key[cache.buffers_at + 3 * bid + 2] == b.initial_tokens &&
+              cache.key_q[static_cast<std::size_t>(b.src)] == rv.of(b.src);
   if (same) {
-    const auto base = cache.key_rates.begin() + static_cast<std::ptrdiff_t>(rate_off);
+    const auto base = cache.key.begin() + static_cast<std::ptrdiff_t>(rate_at);
     same = std::equal(b.prod.begin(), b.prod.end(), base) &&
            std::equal(b.cons.begin(), b.cons.end(),
                       base + static_cast<std::ptrdiff_t>(b.prod.size()));
   }
-  rate_off += b.prod.size() + b.cons.size();
+  rate_at += b.prod.size() + b.cons.size();
   return same;
 }
 
@@ -295,16 +289,17 @@ bool buffer_content_matches(const ConstraintGraphCache& cache, const Buffer& b, 
 /// diffable — the node layout and buffer emission order line up, so every
 /// difference is expressible per buffer.
 bool shape_matches(const CsdfGraph& g, const BufferSeq& bufs, const ConstraintGraphCache& cache) {
-  const auto ntasks = static_cast<std::size_t>(g.task_count());
-  const std::size_t nbuf = bufs.size();
-  if (cache.key_task_phi.size() != ntasks || cache.key_buf.size() != 4 * nbuf) return false;
-  for (std::size_t t = 0; t < ntasks; ++t) {
-    if (cache.key_task_phi[t] != g.tasks()[t].phases()) return false;
+  const std::vector<i64>& key = cache.key;
+  if (key.empty() || key[0] != g.task_count()) return false;
+  for (std::size_t t = 0; t < g.tasks().size(); ++t) {
+    if (key[1 + t] != g.tasks()[t].phases()) return false;
   }
+  // Equal phase counts put the buffer count word just before the triples.
+  const std::size_t nbuf = bufs.size();
+  if (key[cache.buffers_at - 1] != static_cast<i64>(nbuf)) return false;
   for (std::size_t b = 0; b < nbuf; ++b) {
-    if (cache.key_buf[4 * b] != bufs[b].src || cache.key_buf[4 * b + 1] != bufs[b].dst) {
-      return false;
-    }
+    const std::size_t at = cache.buffers_at + 3 * b;
+    if (key[at] != bufs[b].src || key[at + 1] != bufs[b].dst) return false;
   }
   return true;
 }
@@ -443,22 +438,24 @@ i128 buffer_stride_work(const Buffer& b, i64 kt, i64 kt2) {
 
 }  // namespace
 
-void append_content_snapshot(const CsdfGraph& g, std::vector<i64>& words) {
-  // The exact field set snapshot_model fingerprints, flattened into one
-  // sequence. Counts are included so two graphs of different shape can
-  // never alias (the per-section lengths are content-derived otherwise).
+void append_content_snapshot(const CsdfGraph& g, std::vector<i64>& words,
+                             std::span<const Buffer> extra) {
+  // Counts are included so two graphs of different shape can never alias
+  // (the per-section lengths are content-derived otherwise).
+  const BufferSeq bufs(g, extra);
   words.push_back(g.task_count());
   for (const Task& t : g.tasks()) words.push_back(t.phases());
   for (const Task& t : g.tasks()) {
     words.insert(words.end(), t.durations.begin(), t.durations.end());
   }
-  words.push_back(g.buffer_count());
-  for (const Buffer& b : g.buffers()) {
-    words.push_back(b.src);
-    words.push_back(b.dst);
-    words.push_back(b.initial_tokens);
+  words.push_back(static_cast<i64>(bufs.size()));
+  for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
+    words.push_back(bufs[bid].src);
+    words.push_back(bufs[bid].dst);
+    words.push_back(bufs[bid].initial_tokens);
   }
-  for (const Buffer& b : g.buffers()) {
+  for (std::size_t bid = 0; bid < bufs.size(); ++bid) {
+    const Buffer& b = bufs[bid];
     words.insert(words.end(), b.prod.begin(), b.prod.end());
     words.insert(words.end(), b.cons.begin(), b.cons.end());
   }
@@ -548,12 +545,12 @@ i128 constraint_patch_work_estimate(const CsdfGraph& g, const RepetitionVector& 
     return constraint_work_estimate(g, k, extra);
   }
   i128 work = 0;
-  std::size_t rate_off = 0;
+  std::size_t rate_at = cache.rates_at;
   for (std::size_t idx = 0; idx < nbuf; ++idx) {
     const Buffer& b = bufs[idx];
     const auto src = static_cast<std::size_t>(b.src);
     const auto dst = static_cast<std::size_t>(b.dst);
-    const bool untouched = buffer_content_matches(cache, b, idx, rv, rate_off) &&
+    const bool untouched = buffer_content_matches(cache, b, idx, rv, rate_at) &&
                            k_from[src] == k[src] && k_from[dst] == k[dst];
     if (untouched) {
       // Untouched (a durations-only change included — the L rewrite is a
@@ -616,7 +613,7 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
     cache.task_touched.assign(ntasks, 0);
     cache.task_recost.assign(ntasks, 0);
     bool any_layout = false;
-    std::size_t dur_off = 0;
+    std::size_t dur_at = 1 + ntasks;  // past the task count and phase counts
     for (std::size_t t = 0; t < ntasks; ++t) {
       if (cg.k[t] != k[t]) {
         cache.task_touched[t] = 1;
@@ -624,11 +621,11 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
       }
       const std::vector<i64>& dur = g.tasks()[t].durations;
       if (!std::equal(dur.begin(), dur.end(),
-                      cache.key_dur.begin() + static_cast<std::ptrdiff_t>(dur_off))) {
+                      cache.key.begin() + static_cast<std::ptrdiff_t>(dur_at))) {
         cache.task_recost[t] = 1;
         any_recost = true;
       }
-      dur_off += dur.size();
+      dur_at += dur.size();
     }
 
     // Per buffer: did anything that shapes its arcs change — endpoint K,
@@ -637,10 +634,10 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
     // snapshot must be refreshed at all (pure-K rounds, the K-Iter common
     // case, skip it entirely).
     cache.buf_touched.assign(nbuf, 0);
-    std::size_t rate_off = 0;
+    std::size_t rate_at = cache.rates_at;
     for (std::size_t bid = 0; bid < nbuf; ++bid) {
       const Buffer& b = bufs[bid];
-      const bool content_moved = !buffer_content_matches(cache, b, bid, rv, rate_off);
+      const bool content_moved = !buffer_content_matches(cache, b, bid, rv, rate_at);
       any_content |= content_moved;
       if (content_moved || cache.task_touched[static_cast<std::size_t>(b.src)] != 0 ||
           cache.task_touched[static_cast<std::size_t>(b.dst)] != 0) {
@@ -690,7 +687,7 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
     }
     cache.buf_arc_begin[nbuf] = cg.graph.arc_count();
     cg.graph.graph().finalize();
-    snapshot_model(g, bufs, rv, cache);
+    snapshot_model(g, extra, rv, cache);
     cache.valid = true;
     ++cache.rebuilt_rounds;
     cache.last_regenerated_buffers = static_cast<i64>(nbuf);
@@ -735,59 +732,9 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
   }
   cache.scratch_arc_begin[nbuf] = scratch.graph.arc_count();
 
-  // CSR rebuild with degree-span reuse: a task whose incident buffers all
-  // kept their arcs structurally has, node for node, the same adjacency
-  // degrees as before — copy those spans from the live graph's CSR instead
-  // of recounting them, and recount only the spans of buffers incident to
-  // a stale task (Digraph::finalize_patched).
-  cache.out_stale.assign(ntasks, 0);
-  cache.in_stale.assign(ntasks, 0);
-  for (std::size_t bid = 0; bid < nbuf; ++bid) {
-    if (cache.buf_touched[bid] == 0) continue;
-    const Buffer& b = bufs[bid];
-    cache.out_stale[static_cast<std::size_t>(b.src)] = 1;
-    cache.in_stale[static_cast<std::size_t>(b.dst)] = 1;
-  }
-  cache.out_reuse.clear();
-  cache.in_reuse.clear();
-  for (std::size_t t = 0; t < ntasks; ++t) {
-    if (cache.task_touched[t] != 0) {
-      // K changed: the node range itself resized — degrees are meaningless
-      // to copy, and every incident buffer is regenerated anyway.
-      cache.out_stale[t] = 1;
-      cache.in_stale[t] = 1;
-      continue;
-    }
-    const auto len = static_cast<std::int32_t>(k[t]) * g.phases(static_cast<TaskId>(t));
-    if (cache.out_stale[t] == 0) {
-      cache.out_reuse.push_back({scratch.task_first_node[t], cg.task_first_node[t], len});
-    }
-    if (cache.in_stale[t] == 0) {
-      cache.in_reuse.push_back({scratch.task_first_node[t], cg.task_first_node[t], len});
-    }
-  }
-  cache.out_recount.clear();
-  cache.in_recount.clear();
-  for (std::size_t bid = 0; bid < nbuf; ++bid) {
-    const Buffer& b = bufs[bid];
-    const CsrArcRange span{cache.scratch_arc_begin[bid], cache.scratch_arc_begin[bid + 1]};
-    if (cache.out_stale[static_cast<std::size_t>(b.src)] != 0) {
-      if (!cache.out_recount.empty() && cache.out_recount.back().hi == span.lo) {
-        cache.out_recount.back().hi = span.hi;  // merge adjacent ranges
-      } else {
-        cache.out_recount.push_back(span);
-      }
-    }
-    if (cache.in_stale[static_cast<std::size_t>(b.dst)] != 0) {
-      if (!cache.in_recount.empty() && cache.in_recount.back().hi == span.lo) {
-        cache.in_recount.back().hi = span.hi;
-      } else {
-        cache.in_recount.push_back(span);
-      }
-    }
-  }
-  scratch.graph.graph().finalize_patched(cg.graph.graph(), cache.out_reuse, cache.out_recount,
-                                         cache.in_reuse, cache.in_recount);
+  // One counting pass, as a rebuild does: the fill walks arcs in id order,
+  // so the adjacency is a fresh build's.
+  scratch.graph.graph().finalize();
 
   // Ping-pong: the patched scratch becomes the live graph; the old graph's
   // storage becomes the next patch's splice target (capacity retained on

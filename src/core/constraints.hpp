@@ -36,12 +36,12 @@
 // the endpoints' phase counts, totals and cumulative sums filled in).
 // Their ids continue after g's own (g.buffer_count() + i for extra[i]),
 // and every per-buffer step — emission, the content snapshot, the shape
-// check, the diff, the splice, the CSR recount and the pricing — walks
-// g's buffers and then `extra`. A build of (g, extra) is therefore arc for
-// arc, id for id, the build of a graph holding g's buffers followed by
-// these. The service passes the serialization self-loops this way
-// (model/transform.hpp, serialization_buffers_into), so K-Iter never
-// copies a graph to serialize it.
+// check, the diff, the splice and the pricing — walks g's buffers and then
+// `extra`. A build of (g, extra) is therefore arc for arc, id for id, the
+// build of a graph holding g's buffers followed by these. The service
+// passes the serialization self-loops this way (model/transform.hpp,
+// serialization_buffers_into), so K-Iter never copies a graph to
+// serialize it.
 #pragma once
 
 #include <cstdint>
@@ -110,13 +110,15 @@ struct ConstraintPoll {
 /// entry, and the K of both endpoint tasks determine the arc topology and
 /// the H payloads; the producer's phase durations determine the L payloads
 /// (and nothing else). The cache keeps an exact flattened snapshot of that
-/// content for the model the companion graph encodes — exact values, not
+/// content for the model the companion graph encodes: the words
+/// append_content_snapshot writes (the result cache's key encoding, so the
+/// two caches cannot drift apart) plus q per task — exact values, not
 /// hashes, so a fingerprint match is a guarantee. A full rebuild writes the
 /// whole snapshot into the retained vectors (allocation-free once warm); a
-/// patch round rewrites in place only the entries its diff saw move — the
-/// durations of tasks whose durations changed, the marking, q and rate
-/// words of touched buffers — because a same-shaped graph keeps every
-/// entry's offset. Diffing a new (graph, K) request against the snapshot
+/// patch round rewrites in place only the words its diff saw move — the
+/// durations of tasks whose durations changed, the marking and rate words
+/// of touched buffers, and q — because a same-shaped graph keeps every
+/// word's offset. Diffing a new (graph, K) request against the snapshot
 /// classifies every buffer:
 ///
 ///   * fingerprint identical            -> splice the recorded span verbatim
@@ -145,11 +147,11 @@ struct ConstraintPoll {
 ///
 /// Patches splice into a ping-pong scratch graph and swap; both sides
 /// retain capacity, so warm patched rounds stay zero-allocation (the
-/// KIterWorkspace contract). The companion graph's CSR is rebuilt by
-/// Digraph::finalize_patched: tasks with no regenerated incident arcs keep
-/// their adjacency degree spans verbatim instead of re-running the counting
-/// pass, and node-map spans of layout-unchanged tasks are block-copied
-/// (memmove) from the previous graph instead of rewritten element-wise.
+/// KIterWorkspace contract). A splice round rebuilds the companion graph's
+/// CSR with the same single counting pass a rebuild runs
+/// (Digraph::finalize), and block-copies (memmove) the node-map spans of
+/// layout-unchanged tasks from the previous graph instead of rewriting them
+/// element-wise.
 ///
 /// Because the snapshot keys content, one workspace cache safely serves a
 /// whole ThroughputService batch of graph variants back to back: a variant
@@ -168,14 +170,15 @@ struct ConstraintGraphCache {
   std::vector<std::int32_t> buf_arc_begin;
 
   /// Content snapshot of the source model (see the class comment):
-  /// per task phi(t); all durations concatenated in task order; per buffer
-  /// (src, dst, M0, q_src); all rate vectors concatenated in buffer order
-  /// (prod then cons). Written whole by a rebuild, entry by entry (only
-  /// what moved) by a patch.
-  std::vector<i64> key_task_phi;
-  std::vector<i64> key_dur;
-  std::vector<i64> key_buf;
-  std::vector<i64> key_rates;
+  /// `key` holds append_content_snapshot(g, key, extra); buffer b's
+  /// (src, dst, M0) triple starts at key[buffers_at + 3·b] and the rate
+  /// section (prod then cons, in buffer order) at key[rates_at]. `key_q`
+  /// holds q per task, which the words leave out. Written whole by a
+  /// rebuild, word by word (only what moved) by a patch.
+  std::vector<i64> key;
+  std::size_t buffers_at = 0;
+  std::size_t rates_at = 0;
+  std::vector<i64> key_q;
 
   /// Splice target; swapped with the companion graph after each patch.
   ConstraintGraph scratch;
@@ -189,19 +192,12 @@ struct ConstraintGraphCache {
   std::vector<std::int32_t> aside_arc_begin;
 
   /// Per-task / per-buffer scratch for one diff+patch (capacity retained):
-  /// first-node shift, layout-changed and durations-changed task flags,
-  /// structurally-touched buffer flags, and the degree-span / recount lists
-  /// handed to Digraph::finalize_patched.
+  /// first-node shift, layout-changed and durations-changed task flags, and
+  /// structurally-touched buffer flags.
   std::vector<std::int32_t> node_delta;
   std::vector<std::int8_t> task_touched;
   std::vector<std::int8_t> task_recost;
   std::vector<std::int8_t> buf_touched;
-  std::vector<std::int8_t> out_stale;  ///< task's out-degree spans must be recounted
-  std::vector<std::int8_t> in_stale;   ///< likewise for in-degrees
-  std::vector<CsrDegreeSpan> out_reuse;
-  std::vector<CsrDegreeSpan> in_reuse;
-  std::vector<CsrArcRange> out_recount;
-  std::vector<CsrArcRange> in_recount;
 
   /// Round counters for benchmarks and tests (never reset by invalidate).
   i64 patched_rounds = 0;   ///< rounds served by the splice path
@@ -215,18 +211,21 @@ struct ConstraintGraphCache {
   void invalidate() noexcept { valid = false; }
 };
 
-/// Appends the exact content snapshot of `g` — the same fields the
-/// ConstraintGraphCache fingerprints: task count and per-task phase counts,
-/// every phase duration in task order, buffer count and per-buffer
-/// (src, dst, M0), every rate vector in buffer order (prod then cons) — as
-/// flat 64-bit words onto `words`. Two graphs append identical words iff
-/// they are content-identical for every analysis method (names excluded:
-/// they never influence a result's values, only rendered descriptions are
-/// built from ids resolved against the caller's own graph). This is the
-/// graph part of a util/hash.hpp ContentKey: exact values, not hashes, so
-/// a key match is a guarantee — the service's content-addressed result
-/// cache hashes the words only to pick a lock stripe.
-void append_content_snapshot(const CsdfGraph& g, std::vector<i64>& words);
+/// Appends the exact content snapshot of `g` plus `extra` — task count and
+/// per-task phase counts, every phase duration in task order, buffer count
+/// and per-buffer (src, dst, M0), every rate vector in buffer order (prod
+/// then cons), with buffers walked as a build walks them: g's, then
+/// `extra` — as flat 64-bit words onto `words`. (g, extra) appends the
+/// words of a graph holding g's buffers followed by these. Two graphs
+/// append identical words iff they are content-identical for every
+/// analysis method (names excluded: they never influence a result's
+/// values, only rendered descriptions are built from ids resolved against
+/// the caller's own graph). This is the graph part of a util/hash.hpp
+/// ContentKey and the ConstraintGraphCache's snapshot: exact values, not
+/// hashes, so a key match is a guarantee — the service's content-addressed
+/// result cache hashes the words only to pick a lock stripe.
+void append_content_snapshot(const CsdfGraph& g, std::vector<i64>& words,
+                             std::span<const Buffer> extra = {});
 
 /// Builds the constraint graph for periodicity vector `k` (one entry per
 /// task, each >= 1) over g's buffers followed by `extra` (see the header

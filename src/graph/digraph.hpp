@@ -3,14 +3,15 @@
 // Nodes and arcs are dense integer ids; payloads (weights, labels) live in
 // parallel vectors owned by the client.
 //
-// Adjacency is stored in CSR (compressed sparse row) form: two flat arrays
-// per direction, `offsets` (node_count + 1 entries) and `arc_ids`
-// (arc_count entries), so out_arcs(v) is the contiguous span
-// arc_ids[offsets[v] .. offsets[v+1]). The CSR arrays are (re)built lazily
-// in one counting pass over the arc list the first time adjacency is
-// queried after a mutation; `finalize()` forces the build eagerly. Within a
-// node's span, arc ids appear in insertion order (the build iterates arcs
-// in id order), matching the old vector-of-vectors behaviour.
+// Out-adjacency is stored in CSR (compressed sparse row) form: two flat
+// arrays, `offsets` (node_count + 1 entries) and `arc_ids` (arc_count
+// entries), so out_arcs(v) is the contiguous span
+// arc_ids[offsets[v] .. offsets[v+1]). Every client (SCC, the MCRP solver,
+// Karp, the scenario FSM) walks arcs forwards only, so no in-adjacency is
+// kept. The CSR arrays are (re)built lazily in one counting pass over the
+// arc list the first time adjacency is queried after a mutation;
+// `finalize()` forces the build eagerly. Within a node's span, arc ids
+// appear in insertion order (the build iterates arcs in id order).
 //
 // Reuse contract: `reset(n)` rewinds the graph to n isolated nodes while
 // keeping every buffer's capacity, and the CSR rebuild only assigns into
@@ -18,16 +19,15 @@
 // with non-growing sizes performs zero heap allocations. This is what the
 // K-iteration hot path (core/kiter.hpp) relies on.
 //
-// The checked accessors (arc, out_arcs, in_arcs) throw ModelError on bad
-// ids; the *_unchecked variants assert in debug builds and are free in
+// The checked accessors (arc, out_arcs) throw ModelError on bad ids; the
+// *_unchecked / out_span variants assert in debug builds and are free in
 // release — use them only in solver inner loops over ids the caller already
 // validated. Lazy CSR building makes const adjacency queries non-reentrant:
 // do not query adjacency from multiple threads while the graph is dirty
-// (finalize() first). Unlike the old vector-of-vectors API, adjacency spans
-// point into the shared CSR arrays: any mutation (add_arc/add_node/reset)
-// followed by an adjacency query rebuilds those arrays and invalidates
-// every previously returned span — re-query instead of holding spans across
-// mutations.
+// (finalize() first). Adjacency spans point into the shared CSR arrays: any
+// mutation (add_arc/add_node/reset) followed by an adjacency query rebuilds
+// those arrays and invalidates every previously returned span — re-query
+// instead of holding spans across mutations.
 #pragma once
 
 #include <cassert>
@@ -121,37 +121,6 @@ class Digraph {
     if (!csr_valid_) build_csr();
   }
 
-  /// True when the CSR arrays describe the current arc list (a prior
-  /// finalize() with no mutation since).
-  [[nodiscard]] bool csr_built() const noexcept { return csr_valid_; }
-
-  /// Diff-aware finalize for the incremental constraint engine: `prev` is
-  /// the graph this one was spliced from (its CSR must be valid). Node
-  /// ranges named in the degree-span lists kept their per-node arc counts
-  /// from `prev` — their slice of the counting pass is replaced by copying
-  /// `prev`'s degree spans verbatim — and only the arc ranges in the
-  /// recount lists (the regenerated buffers, plus spliced buffers whose
-  /// endpoint task also has regenerated arcs) are counted. The fill pass is
-  /// unchanged, so the resulting CSR is bit-identical to finalize()'s.
-  /// Falls back to the full counting pass when `prev`'s CSR is not built.
-  void finalize_patched(const Digraph& prev, std::span<const CsrDegreeSpan> out_reuse,
-                        std::span<const CsrArcRange> out_recount,
-                        std::span<const CsrDegreeSpan> in_reuse,
-                        std::span<const CsrArcRange> in_recount) const {
-    if (csr_valid_) return;
-    if (!prev.csr_valid_) {
-      build_csr();
-      return;
-    }
-    build_csr_index_patched(nodes_, arcs_, [](const Arc& a) { return a.src; },
-                            prev.out_offsets_, out_reuse, out_recount, out_offsets_, out_ids_,
-                            cursor_);
-    build_csr_index_patched(nodes_, arcs_, [](const Arc& a) { return a.dst; },
-                            prev.in_offsets_, in_reuse, in_recount, in_offsets_, in_ids_,
-                            cursor_);
-    csr_valid_ = true;
-  }
-
   /// Ids of arcs leaving `node`, in insertion order.
   [[nodiscard]] std::span<const std::int32_t> out_arcs(std::int32_t node) const {
     check_node(node);
@@ -159,25 +128,12 @@ class Digraph {
     return out_span(node);
   }
 
-  /// Ids of arcs entering `node`, in insertion order.
-  [[nodiscard]] std::span<const std::int32_t> in_arcs(std::int32_t node) const {
-    check_node(node);
-    finalize();
-    return in_span(node);
-  }
-
-  /// Unchecked span accessors: require a prior finalize() and a valid node.
+  /// Unchecked span accessor: requires a prior finalize() and a valid node.
   [[nodiscard]] std::span<const std::int32_t> out_span(std::int32_t node) const noexcept {
     assert(csr_valid_ && node >= 0 && node < nodes_);
     const auto v = static_cast<std::size_t>(node);
     return {out_ids_.data() + out_offsets_[v],
             static_cast<std::size_t>(out_offsets_[v + 1] - out_offsets_[v])};
-  }
-  [[nodiscard]] std::span<const std::int32_t> in_span(std::int32_t node) const noexcept {
-    assert(csr_valid_ && node >= 0 && node < nodes_);
-    const auto v = static_cast<std::size_t>(node);
-    return {in_ids_.data() + in_offsets_[v],
-            static_cast<std::size_t>(in_offsets_[v + 1] - in_offsets_[v])};
   }
 
  private:
@@ -188,20 +144,16 @@ class Digraph {
   void build_csr() const {
     build_csr_index(nodes_, arcs_, [](const Arc& a) { return a.src; }, out_offsets_, out_ids_,
                     cursor_);
-    build_csr_index(nodes_, arcs_, [](const Arc& a) { return a.dst; }, in_offsets_, in_ids_,
-                    cursor_);
     csr_valid_ = true;
   }
 
   std::int32_t nodes_ = 0;
   std::vector<Arc> arcs_;
 
-  // Lazily rebuilt CSR adjacency (mutable: adjacency queries are const).
+  // Lazily rebuilt CSR out-adjacency (mutable: adjacency queries are const).
   mutable bool csr_valid_ = false;
   mutable std::vector<std::int32_t> out_offsets_;
   mutable std::vector<std::int32_t> out_ids_;
-  mutable std::vector<std::int32_t> in_offsets_;
-  mutable std::vector<std::int32_t> in_ids_;
   mutable std::vector<std::int32_t> cursor_;
 };
 

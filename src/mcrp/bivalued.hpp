@@ -39,11 +39,6 @@ class BivaluedGraph {
     clear_stamps();
   }
 
-  std::int32_t add_node() {
-    clear_stamps();
-    return g_.add_node();
-  }
-
   std::int32_t add_arc(std::int32_t src, std::int32_t dst, i64 cost, Rational time) {
     const std::int32_t id = g_.add_arc(src, dst);
     cost_.push_back(cost);
@@ -104,10 +99,10 @@ class BivaluedGraph {
   /// counts and arc lists (ids and endpoints); payloads may differ. The
   /// same layout stamp additionally guarantees identical H payloads, so
   /// only L costs may differ. set_cost keeps both stamps, set_time keeps
-  /// only the topology stamp, and every structural mutation (add_node,
-  /// add_arc, append_arcs_shifted, reset) clears both. Stamps are assigned
-  /// lazily from one process-wide counter, so a fresh stamp is unique and
-  /// a matching layout stamp implies an identical topology; copies keep the
+  /// only the topology stamp, and every structural mutation (add_arc,
+  /// append_arcs_shifted, reset) clears both. Stamps are assigned lazily
+  /// from one process-wide counter, so a fresh stamp is unique and a
+  /// matching layout stamp implies an identical topology; copies keep the
   /// source's stamps (their layout is identical by construction).
   /// Like the lazy CSR build, the first query after a mutation is not
   /// reentrant — do not race it across threads.

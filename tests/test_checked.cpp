@@ -163,7 +163,9 @@ TEST_P(RoundingLaw, FloorCeilBracketAndDivide) {
   EXPECT_EQ(fl % g, 0);
   EXPECT_EQ(ce % g, 0);
   EXPECT_LE(ce - fl, i128{g});
-  if (a % g == 0) EXPECT_EQ(fl, ce);
+  if (a % g == 0) {
+    EXPECT_EQ(fl, ce);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, RoundingLaw, ::testing::Values(

@@ -17,7 +17,6 @@ TEST(Digraph, BasicConstruction) {
   EXPECT_EQ(g.arc(a).src, 0);
   EXPECT_EQ(g.arc(b).dst, 2);
   EXPECT_EQ(g.out_arcs(0).size(), 1u);
-  EXPECT_EQ(g.in_arcs(2).size(), 1u);
   EXPECT_TRUE(g.out_arcs(2).empty());
 }
 
@@ -34,8 +33,6 @@ TEST(Digraph, SelfLoopAndParallelArcs) {
   g.add_arc(0, 1);
   g.add_arc(0, 1);
   EXPECT_EQ(g.out_arcs(0).size(), 3u);
-  EXPECT_EQ(g.in_arcs(0).size(), 1u);
-  EXPECT_EQ(g.in_arcs(1).size(), 2u);
 }
 
 TEST(Digraph, BadIdsThrow) {
@@ -146,7 +143,9 @@ TEST_P(SccProperty, CondensationIsAcyclic) {
       const auto& arc = g.arc(a);
       const auto cs = scc.component_of[static_cast<std::size_t>(arc.src)];
       const auto cd = scc.component_of[static_cast<std::size_t>(arc.dst)];
-      if (cs != cd) EXPECT_LT(cd, cs);
+      if (cs != cd) {
+        EXPECT_LT(cd, cs);
+      }
     }
   }
 }

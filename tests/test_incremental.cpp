@@ -3,8 +3,9 @@
 //
 //   1. Round-by-round equivalence on 100+ random CSDFGs driven through the
 //      real K-Iter K sequences: after every round the patched graph is
-//      byte-identical (same arc ids, payloads, node maps) to a fresh stride
-//      build, arc-multiset-identical to the brute-force reference build,
+//      byte-identical (same arc ids, payloads, node maps, CSR
+//      out-adjacency) to a fresh stride build, arc-multiset-identical to
+//      the brute-force reference build,
 //      and its MCRP value matches the reference solve.
 //   2. The worst case — a critical circuit covering every task — falls back
 //      to a recorded full rebuild and still matches.
@@ -17,14 +18,19 @@
 //   6. Serialization as generator input: a build of (g, extra) with the
 //      self-loops of serialization_buffers_into(g) is arc for arc the build
 //      of add_serialization_buffers(g), round by round and through
-//      kiter_throughput, with identical pricing and repetition vector —
-//      including graphs where some task already has its own self-loop.
+//      kiter_throughput, with identical pricing, repetition vector and
+//      content snapshot words — including graphs where some task already
+//      has its own self-loop.
 //   7. Same-layout rounds (no task's K changes) under marking, duration and
 //      q-preserving rate deltas, alone and mixed: every build matches a
 //      fresh one, both the in-place rewrite and the splice from the aside
 //      graph occur, and a warm MCRP solve on each in-place graph — which
 //      keeps the cyclic core by topology and rescales H — equals a cold
 //      solve of the fresh build down to the circuit and iteration counts.
+//
+// After every round of 1 and 6 the cache's content snapshot is the
+// result cache's encoding of what it encodes: append_content_snapshot of
+// (g, extra), with q per task beside it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,8 +66,9 @@ std::vector<ArcTuple> canonical_arcs(const ConstraintGraph& cg) {
 }
 
 /// The patched graph must be arc-FOR-arc identical to a fresh stride build:
-/// same arc ids in the same order with the same payloads, and the same node
-/// maps — the strongest form of the equivalence the engine promises.
+/// same arc ids in the same order with the same payloads, the same node
+/// maps and the same CSR out-adjacency — the strongest form of the
+/// equivalence the engine promises.
 void expect_identical(const ConstraintGraph& patched, const ConstraintGraph& fresh,
                       const std::string& context) {
   ASSERT_EQ(patched.graph.node_count(), fresh.graph.node_count()) << context;
@@ -79,6 +86,24 @@ void expect_identical(const ConstraintGraph& patched, const ConstraintGraph& fre
                 patched.graph.time(a) == fresh.graph.time(a))
         << context << " arc " << a;
   }
+  for (std::int32_t v = 0; v < fresh.graph.node_count(); ++v) {
+    const auto po = patched.graph.graph().out_arcs(v);
+    const auto fo = fresh.graph.graph().out_arcs(v);
+    ASSERT_TRUE(std::equal(po.begin(), po.end(), fo.begin(), fo.end()))
+        << context << " out-adjacency of node " << v;
+  }
+}
+
+/// The cache's snapshot must be the words append_content_snapshot writes
+/// for (g, extra), with q per task beside them.
+void expect_snapshot_of(const ConstraintGraphCache& cache, const CsdfGraph& g,
+                        const RepetitionVector& rv, std::span<const Buffer> extra,
+                        const std::string& context) {
+  ASSERT_TRUE(cache.valid) << context;
+  std::vector<i64> words;
+  append_content_snapshot(g, words, extra);
+  EXPECT_EQ(cache.key, words) << context;
+  EXPECT_EQ(cache.key_q, rv.q) << context;
 }
 
 RandomCsdfOptions small_graphs() {
@@ -124,6 +149,7 @@ TEST(Incremental, RandomizedRoundByRoundEquivalence) {
           "seed " + std::to_string(seed) + " round " + std::to_string(round);
       const ConstraintGraph fresh = build_constraint_graph(g, rv, k);
       expect_identical(ws.constraints, fresh, context);
+      expect_snapshot_of(ws.cache, g, rv, {}, context);
 
       const ConstraintGraph reference = build_constraint_graph_reference(g, rv, k);
       EXPECT_EQ(canonical_arcs(ws.constraints), canonical_arcs(reference)) << context;
@@ -377,6 +403,11 @@ TEST(Incremental, SerializationExtraMatchesSerializedCopyRoundByRound) {
     const std::span<const Buffer> extra = serialization_buffers_into(g, loops);
     ASSERT_EQ(static_cast<std::size_t>(s.buffer_count()), g.buffer_count() + extra.size());
     with_own_loop += extra.size() < static_cast<std::size_t>(g.task_count()) ? 1 : 0;
+    std::vector<i64> words_extra;
+    std::vector<i64> words_copy;
+    append_content_snapshot(g, words_extra, extra);
+    append_content_snapshot(s, words_copy);
+    EXPECT_EQ(words_extra, words_copy) << "seed " << seed;
 
     const RepetitionVector rv = compute_repetition_vector(g);
     const RepetitionVector rv_copy = compute_repetition_vector(s);
@@ -412,6 +443,7 @@ TEST(Incremental, SerializationExtraMatchesSerializedCopyRoundByRound) {
 
       const ConstraintGraph fresh = build_constraint_graph(s, rv_copy, k);
       expect_identical(ws_extra.constraints, fresh, context + " incremental");
+      expect_snapshot_of(ws_extra.cache, g, rv, extra, context);
       expect_identical(build_constraint_graph(g, rv, k, extra), fresh, context + " full");
       EXPECT_EQ(ws_extra.solved.status, ws_copy.solved.status) << context;
       EXPECT_EQ(ws_extra.solved.ratio, ws_copy.solved.ratio) << context;

@@ -66,7 +66,7 @@ TEST(KPeriodic, StartOfClosedForm) {
 
 TEST(KPeriodic, SchedulesVerifyBySimulation) {
   const Prepared p = prepared_figure2();
-  for (const std::vector<i64> k :
+  for (const std::vector<i64>& k :
        {std::vector<i64>{1, 1, 1, 1}, std::vector<i64>{2, 1, 1, 1}, std::vector<i64>{3, 4, 6, 1}}) {
     const KPeriodicResult r = evaluate_k_periodic(p.g, p.rv, k);
     ASSERT_EQ(r.status, KEvalStatus::Feasible);

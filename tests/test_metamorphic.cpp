@@ -20,8 +20,17 @@
 // of one buffer, durations of one task — whose same-shaped variants run
 // through the constraint cache's patch rounds; each sweep's last point
 // must also equal its cold analysis.
+//
+// Id permutation: renumbering the tasks and the buffers changes nothing
+// but ids. Every graph is rebuilt with its tasks and its buffers in a
+// seeded random order, and keeps its outcome, quality, period, throughput
+// and cert ratio, cold and along a 16-point warm marking sweep of the
+// renumbered image of one buffer. A failure names its seed and prints
+// both graphs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -211,6 +220,86 @@ TEST(Metamorphic, TokensNeverRaiseAndDurationsNeverLowerThePeriod) {
     moved += by_timing.front().period != by_timing.back().period ? 1 : 0;
   }
   EXPECT_GE(moved, 60) << "the sweeps must actually move the period";
+}
+
+/// `g` with its tasks and its buffers renumbered: old task t becomes task
+/// task_of[t], old buffer b becomes buffer buffer_of[b]; names, durations,
+/// rates and markings travel with their task or buffer.
+CsdfGraph renumbered(const CsdfGraph& g, const std::vector<TaskId>& task_of,
+                     const std::vector<BufferId>& buffer_of) {
+  std::vector<TaskId> old_task(task_of.size());
+  for (std::size_t t = 0; t < task_of.size(); ++t) {
+    old_task[static_cast<std::size_t>(task_of[t])] = static_cast<TaskId>(t);
+  }
+  std::vector<BufferId> old_buffer(buffer_of.size());
+  for (std::size_t b = 0; b < buffer_of.size(); ++b) {
+    old_buffer[static_cast<std::size_t>(buffer_of[b])] = static_cast<BufferId>(b);
+  }
+  CsdfGraph out(g.name());
+  for (const TaskId t : old_task) out.add_task(g.task(t).name, g.task(t).durations);
+  for (const BufferId b : old_buffer) {
+    const Buffer& buf = g.buffer(b);
+    out.add_buffer(buf.name, task_of[static_cast<std::size_t>(buf.src)],
+                   task_of[static_cast<std::size_t>(buf.dst)], buf.prod, buf.cons,
+                   buf.initial_tokens);
+  }
+  return out;
+}
+
+/// Everything an id permutation must leave alone.
+void expect_same_up_to_ids(const Analysis& renamed, const Analysis& original) {
+  ASSERT_EQ(renamed.outcome, original.outcome);
+  EXPECT_EQ(renamed.quality, original.quality);
+  EXPECT_EQ(renamed.period, original.period);
+  EXPECT_EQ(renamed.throughput, original.throughput);
+  EXPECT_EQ(renamed.critical_cycle.ratio, original.critical_cycle.ratio);
+}
+
+TEST(Metamorphic, PermutingTaskAndBufferIdsChangesOnlyIds) {
+  constexpr i64 kPoints = 16;
+  int values = 0;
+  int moved = 0;  // graphs whose task order actually changed
+  for (u64 seed = 1; seed <= 80; ++seed) {
+    const CsdfGraph g = graph_for_seed(seed);
+    Rng rng(seed * 104729);
+    std::vector<TaskId> task_of(static_cast<std::size_t>(g.task_count()));
+    std::iota(task_of.begin(), task_of.end(), 0);
+    rng.shuffle(task_of);
+    std::vector<BufferId> buffer_of(static_cast<std::size_t>(g.buffer_count()));
+    std::iota(buffer_of.begin(), buffer_of.end(), 0);
+    rng.shuffle(buffer_of);
+    const CsdfGraph h = renumbered(g, task_of, buffer_of);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", graph:\n" + print_csdf(g) +
+                 "renumbered:\n" + print_csdf(h));
+    moved += std::is_sorted(task_of.begin(), task_of.end()) ? 0 : 1;
+
+    const Analysis cold = analyze_throughput(g, Method::KIter);
+    expect_same_up_to_ids(analyze_throughput(h, Method::KIter), cold);
+    values += cold.outcome == Outcome::Value ? 1 : 0;
+
+    const auto b = static_cast<BufferId>(rng.uniform(0, g.buffer_count() - 1));
+    VariantBatch sweep;
+    sweep.base = g;
+    VariantBatch image;
+    image.base = h;
+    for (i64 j = 0; j < kPoints; ++j) {
+      GraphDelta d;
+      d.markings.push_back({b, g.buffer(b).initial_tokens + j});
+      sweep.deltas.push_back(d);
+      d.markings.front().buffer = buffer_of[static_cast<std::size_t>(b)];
+      image.deltas.push_back(std::move(d));
+    }
+    ThroughputService service(ServiceOptions{0});
+    const std::vector<Analysis> by_id = service.analyze_variants(sweep);
+    const std::vector<Analysis> by_image = service.analyze_variants(image);
+    ASSERT_EQ(by_image.size(), by_id.size());
+    for (std::size_t i = 0; i < by_id.size(); ++i) {
+      SCOPED_TRACE("point " + std::to_string(i));
+      expect_same_up_to_ids(by_image[i], by_id[i]);
+    }
+  }
+  EXPECT_GE(values, 70);
+  EXPECT_GE(moved, 60) << "most graphs must actually be renumbered";
 }
 
 }  // namespace

@@ -328,9 +328,13 @@ TEST_P(RationalProperty, FieldAndOrderLaws) {
     EXPECT_EQ((a + b) + c, a + (b + c));
     EXPECT_EQ(a * (b + c), a * b + a * c);
     EXPECT_EQ(a + b - b, a);
-    if (!b.is_zero()) EXPECT_EQ(a * b / b, a);
+    if (!b.is_zero()) {
+      EXPECT_EQ(a * b / b, a);
+    }
     // Order consistency with double approximation (wide tolerance).
-    if (a < b) EXPECT_LT(a.to_double(), b.to_double() + 1e-9);
+    if (a < b) {
+      EXPECT_LT(a.to_double(), b.to_double() + 1e-9);
+    }
     // floor/ceil bracket.
     EXPECT_LE(Rational(a.floor(), 1), a);
     EXPECT_GE(Rational(a.ceil(), 1), a);

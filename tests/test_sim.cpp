@@ -176,7 +176,9 @@ TEST(SimTrace, AsapStartTimes) {
   bool b_at_2 = false;
   for (const TraceEntry& e : trace) {
     if (e.task == b && e.start == 2) b_at_2 = true;
-    if (e.task == b) EXPECT_GE(e.start, 2);
+    if (e.task == b) {
+      EXPECT_GE(e.start, 2);
+    }
   }
   EXPECT_TRUE(b_at_2);
 }

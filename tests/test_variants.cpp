@@ -2,15 +2,19 @@
 //
 //   1. Randomized variant equivalence: >= 100 mixed deltas (execution time,
 //      marking, rate scaling) over random bases, analyzed through ONE warm
-//      shared workspace, are bit-identical to cold fresh-workspace runs —
-//      and the warm run must actually exercise the patch paths.
+//      shared workspace, are bit-identical to cold fresh-workspace runs;
+//      the warm run must exercise rebuild, splice and in-place rounds, and
+//      after each variant the cache's snapshot must be the variant's
+//      append_content_snapshot words, with its q beside them.
 //   2. An execution-time-only warm variant patch re-enumerates zero buffers
 //      and performs zero heap allocations (alloc-hook-verified), and the
 //      patched graph is arc-for-arc identical to a fresh build.
 //   3. A marking (buffer-size) delta re-emits exactly one buffer's span
 //      through the splice path.
 //   4. A rate delta that changes the repetition vector, and a graph of a
-//      different shape, both fall back to a recorded full rebuild.
+//      different shape, both fall back to a recorded full rebuild; a rate
+//      delta that moves q of only part of the graph patches, and the
+//      cache keeps the new q.
 //   5. analyze_variants == cold per-variant analyze_throughput on a
 //      randomized mixed sweep, and is deterministic across thread counts.
 //      These run with warm_start OFF: bit-identical detail strings (rounds,
@@ -69,8 +73,9 @@ void expect_identical(const ConstraintGraph& patched, const ConstraintGraph& fre
   }
 }
 
-/// The CSR adjacency must also match a fresh finalize (the degree-span
-/// reuse in finalize_patched is only correct if this holds everywhere).
+/// The CSR out-adjacency must also match a fresh finalize: an in-place
+/// round keeps the live graph's CSR, and a splice round rebuilds it over a
+/// spliced arc list.
 void expect_identical_adjacency(const ConstraintGraph& patched, const ConstraintGraph& fresh,
                                 const std::string& context) {
   for (std::int32_t v = 0; v < fresh.graph.node_count(); ++v) {
@@ -78,10 +83,6 @@ void expect_identical_adjacency(const ConstraintGraph& patched, const Constraint
     const auto fo = fresh.graph.graph().out_arcs(v);
     ASSERT_TRUE(std::equal(po.begin(), po.end(), fo.begin(), fo.end()))
         << context << " out-adjacency of node " << v;
-    const auto pi = patched.graph.graph().in_arcs(v);
-    const auto fi = fresh.graph.graph().in_arcs(v);
-    ASSERT_TRUE(std::equal(pi.begin(), pi.end(), fi.begin(), fi.end()))
-        << context << " in-adjacency of node " << v;
   }
 }
 
@@ -160,13 +161,22 @@ TEST(Variants, RandomizedWarmWorkspaceMatchesColdRuns) {
       EXPECT_EQ(warm.critical_tasks, cold.critical_tasks) << context;
       EXPECT_EQ(warm.schedule.starts, cold.schedule.starts) << context;
       EXPECT_EQ(warm.schedule.task_periods, cold.schedule.task_periods) << context;
+
+      // The cache's snapshot is the result cache's encoding of the variant
+      // its last round built, with q per task beside it.
+      ASSERT_TRUE(shared.cache.valid) << context;
+      std::vector<i64> words;
+      append_content_snapshot(variant, words);
+      EXPECT_EQ(shared.cache.key, words) << context;
+      EXPECT_EQ(shared.cache.key_q, rv.q) << context;
       ++variants;
     }
   }
-  // The sweep must exercise the cross-variant patch paths, not keep
-  // re-keying through full rebuilds.
-  EXPECT_GT(shared.cache.patched_rounds + shared.cache.payload_rounds, 0);
+  // The sweep must exercise every round kind — rebuild, splice and in
+  // place — not keep re-keying through full rebuilds.
   EXPECT_GT(shared.cache.rebuilt_rounds, 0);
+  EXPECT_GT(shared.cache.patched_rounds, 0);
+  EXPECT_GT(shared.cache.payload_rounds, 0);
 }
 
 // ---- 2. execution-time-only patch: zero re-enumeration, zero allocation ----
@@ -264,6 +274,43 @@ TEST(Variants, RvChangingRateDeltaFallsBackToFullRebuild) {
   EXPECT_EQ(cache.rebuilt_rounds, 2) << "an rv-changing rate delta must rebuild";
   EXPECT_EQ(cache.patched_rounds, 0);
   expect_identical(cg, build_constraint_graph(variant, rv_variant, {1, 3}), "rate fallback");
+}
+
+TEST(Variants, RateDeltaMovingPartOfQPatchesAndKeepsQCurrent) {
+  // A chain a -> b -> c -> d: doubling b -> c's production doubles q of c
+  // and d only, so a -> b keeps its fingerprint and the round patches.
+  CsdfGraph base;
+  const TaskId a = base.add_task("a", 1);
+  const TaskId b = base.add_task("b", 2);
+  const TaskId c = base.add_task("c", 3);
+  const TaskId d = base.add_task("d", 1);
+  base.add_buffer("ab", a, b, 1, 1, 0);
+  base.add_buffer("bc", b, c, 1, 1, 0);
+  base.add_buffer("cd", c, d, 1, 1, 0);
+
+  GraphDelta delta;
+  delta.rates.push_back({1, {2}, {1}});
+  const CsdfGraph variant = make_variant(base, delta);
+  const RepetitionVector rv_base = compute_repetition_vector(base);
+  const RepetitionVector rv_variant = compute_repetition_vector(variant);
+  ASSERT_EQ(rv_base.q, (std::vector<i64>{1, 1, 1, 1}));
+  ASSERT_EQ(rv_variant.q, (std::vector<i64>{1, 1, 2, 2}));
+
+  const std::vector<i64> k{1, 1, 1, 1};
+  ConstraintGraph cg;
+  ConstraintGraphCache cache;
+  ASSERT_TRUE(build_constraint_graph_incremental(base, rv_base, k, cg, cache));
+  ASSERT_TRUE(build_constraint_graph_incremental(variant, rv_variant, k, cg, cache));
+  EXPECT_EQ(cache.rebuilt_rounds, 1) << "a -> b keeps its fingerprint: the round patches";
+  EXPECT_EQ(cache.last_regenerated_buffers, 2) << "b -> c (rates) and c -> d (producer q)";
+  EXPECT_EQ(cache.key_q, rv_variant.q);
+  expect_identical(cg, build_constraint_graph(variant, rv_variant, k), "q-moving patch");
+
+  // The snapshot holds the variant's q, so the same request again is a
+  // no-op round.
+  const i64 patches = cache.patched_rounds + cache.payload_rounds;
+  ASSERT_TRUE(build_constraint_graph_incremental(variant, rv_variant, k, cg, cache));
+  EXPECT_EQ(cache.patched_rounds + cache.payload_rounds, patches);
 }
 
 TEST(Variants, DifferentShapeFallsBackToFullRebuild) {
