@@ -46,10 +46,8 @@ BivaluedGraph random_instance(i64 nodes, bool unit_time, u64 seed) {
 
 void BM_ExactCold(benchmark::State& state) {
   const BivaluedGraph g = random_instance(state.range(0), false, 42);
-  McrpOptions options;
-  options.compute_potentials = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solve_max_cycle_ratio(g, options));
+    benchmark::DoNotOptimize(solve_max_cycle_ratio(g));
   }
 }
 BENCHMARK(BM_ExactCold)->Arg(50)->Arg(200)->Arg(800);
@@ -67,7 +65,6 @@ void solve_warm_pair(benchmark::State& state, const BivaluedGraph& a) {
     b.set_cost(arc, std::max<i64>(0, b.cost(arc) + rng.uniform(-2, 2)));
   }
   McrpOptions options;
-  options.compute_potentials = false;
   options.howard_warm_start = true;
   McrpScratch scratch;
   McrpResult result;
@@ -97,10 +94,8 @@ const BivaluedGraph& echo_final_k_graph() {
 
 void BM_EchoExactCold(benchmark::State& state) {
   const BivaluedGraph& g = echo_final_k_graph();
-  McrpOptions options;
-  options.compute_potentials = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solve_max_cycle_ratio(g, options));
+    benchmark::DoNotOptimize(solve_max_cycle_ratio(g));
   }
 }
 BENCHMARK(BM_EchoExactCold);
@@ -123,10 +118,8 @@ BENCHMARK(BM_KarpUnitTime)->Arg(50)->Arg(200)->Arg(800);
 
 void BM_ExactUnitTime(benchmark::State& state) {
   const BivaluedGraph g = random_instance(state.range(0), true, 42);
-  McrpOptions options;
-  options.compute_potentials = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solve_max_cycle_ratio(g, options));
+    benchmark::DoNotOptimize(solve_max_cycle_ratio(g));
   }
 }
 BENCHMARK(BM_ExactUnitTime)->Arg(50)->Arg(200)->Arg(800);

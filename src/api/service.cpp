@@ -82,20 +82,15 @@ bool cacheable_request(Method method, const AnalysisOptions& o, double deadline_
 /// Every option that can influence a cacheable request's result, flattened
 /// into key words. Options that only shape wall-clock behavior (poll
 /// strides, time budgets) are excluded — cacheable_request already rejects
-/// requests where they could matter — and so is the MCRP warm start, which
-/// a cacheable K-Iter request never sets and a Periodic one never uses
-/// (each solves on a fresh scratch).
+/// requests where they could matter — and so is the MCRP warm start, the
+/// solver's one option, which a cacheable K-Iter request never sets and a
+/// Periodic one never uses (each solves on a fresh scratch).
 void append_options_words(Method method, const AnalysisOptions& o, std::vector<i64>& w) {
   w.push_back(static_cast<i64>(method));
   w.push_back(o.serialize_tasks ? 1 : 0);
-  const auto push_mcrp = [&w](const McrpOptions& m) {
-    w.push_back(m.compute_potentials ? 1 : 0);
-    w.push_back(m.max_iterations);
-  };
   switch (method) {
     case Method::KIter:
       w.push_back(static_cast<i64>(o.kiter.policy));
-      push_mcrp(o.kiter.mcrp);
       w.push_back(o.kiter.incremental ? 1 : 0);
       // i128 structural cap as two words.
       w.push_back(static_cast<i64>(o.kiter.max_constraint_pairs >> 64));
@@ -104,7 +99,6 @@ void append_options_words(Method method, const AnalysisOptions& o, std::vector<i
       w.push_back(o.kiter.record_trace ? 1 : 0);
       break;
     case Method::Periodic:
-      push_mcrp(o.kiter.mcrp);
       break;
     case Method::SymbolicExecution:
       w.push_back(o.sim.max_states);
@@ -163,8 +157,8 @@ Analysis run_kiter(const CsdfGraph& g, const RepetitionVector& rv, std::span<con
   KIterOptions kiter = options.kiter;
   kiter.time_budget_ms = tighten_budget(kiter.time_budget_ms, deadline_ms);
   // The service never surfaces the schedule (Analysis carries values only),
-  // so the final potentials relaxation is skipped for every request — warm
-  // and cold alike, keeping the two comparable.
+  // so no request runs the potentials pass (compute_mcrp_potentials) —
+  // warm and cold alike, keeping the two comparable.
   kiter.want_schedule = false;
   // Cross-variant warm start: seed from the previous Optimal variant's
   // final K. kiter copies the seed once at entry, so aliasing the sink

@@ -135,12 +135,11 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
   auto out_of_budget = [&]() { return want_poll && poll_fn(&poll_state); };
 
   // Schedule extraction for the K the workspace currently holds: one
-  // potentials relaxation on the already-built, already-solved graph.
+  // potentials pass on the already-built, already-solved graph.
   auto extract_schedule_warm = [&](const std::vector<i64>& for_k) {
-    compute_mcrp_potentials(ws.constraints.graph, ws.solved.ratio, ws.mcrp,
-                            ws.solved.potentials);
-    return schedule_from_potentials(g, rv, for_k, ws.constraints, ws.solved.potentials,
-                                    ws.solved.ratio);
+    std::vector<Rational> starts;
+    compute_mcrp_potentials(ws.constraints.graph, ws.solved.ratio, starts);
+    return schedule_from_potentials(g, rv, for_k, ws.constraints, starts, ws.solved.ratio);
   };
 
   // Full re-evaluation for a K the workspace no longer holds (the

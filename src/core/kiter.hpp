@@ -18,8 +18,10 @@
 // arrays included), the MCRP solver scratch, and the critical-circuit
 // buffers are rebuilt in place every round, so after the first (warming)
 // round a round of no larger size performs zero heap allocations. Rounds
-// therefore skip potentials/schedule extraction; the full schedule is
-// extracted once at exit by re-evaluating the winning (or best-bound) K.
+// solve for the period only; start times come from one potentials pass
+// (compute_mcrp_potentials) at exit — on the workspace's final graph for
+// the winning K, or by re-evaluating the best-bound K of a structural
+// ResourceLimit exit.
 // Callers that analyze many graphs back to back should pass one external
 // workspace to the 4-argument overload and reuse it across calls — results
 // are identical to fresh-workspace runs. record_trace allocates per round
@@ -84,7 +86,8 @@ struct KIterOptions {
 
   /// Extract the schedule on Optimal/Unbounded/best-bound exits. Callers
   /// that only consume period/throughput/classification (the DSE service)
-  /// turn this off to skip the final potentials relaxation.
+  /// turn this off to skip the final potentials pass (one kernel call over
+  /// every arc of the final constraint graph).
   bool want_schedule = true;
 
   /// Route constraint generation through the workspace's incremental engine

@@ -6,12 +6,10 @@ namespace kp {
 
 namespace {
 
-/// Shared round tail: MCRP solve (no potentials) + critical-task refresh.
+/// Shared round tail: MCRP solve + critical-task refresh.
 KEvalStatus solve_round(const McrpOptions& mcrp, KIterWorkspace& ws) {
-  McrpOptions options = mcrp;
-  options.compute_potentials = false;
   const Stopwatch solve_clock;
-  solve_max_cycle_ratio(ws.constraints.graph, options, ws.mcrp, ws.solved);
+  solve_max_cycle_ratio(ws.constraints.graph, mcrp, ws.mcrp, ws.solved);
   ws.round_solve_ms += solve_clock.elapsed_ms();
   ws.constraints.tasks_on_circuit_into(ws.solved.critical_cycle, ws.task_seen,
                                        ws.critical_tasks);
@@ -80,9 +78,7 @@ KPeriodicResult evaluate_k_periodic(const CsdfGraph& g, const RepetitionVector& 
   KPeriodicResult result;
   result.constraints = build_constraint_graph(g, rv, k, extra);
 
-  McrpOptions mcrp = options.mcrp;
-  mcrp.compute_potentials = options.want_schedule;
-  const McrpResult solved = solve_max_cycle_ratio(result.constraints.graph, mcrp);
+  const McrpResult solved = solve_max_cycle_ratio(result.constraints.graph, options.mcrp);
   result.mcrp_iterations = solved.iterations;
   result.critical_cycle = solved.critical_cycle;
   result.critical_tasks = result.constraints.tasks_on_circuit(solved.critical_cycle);
@@ -98,8 +94,9 @@ KPeriodicResult evaluate_k_periodic(const CsdfGraph& g, const RepetitionVector& 
                       : KEvalStatus::Feasible;
 
   if (options.want_schedule) {
-    result.schedule =
-        schedule_from_potentials(g, rv, k, result.constraints, solved.potentials, result.period);
+    std::vector<Rational> starts;
+    compute_mcrp_potentials(result.constraints.graph, solved.ratio, starts);
+    result.schedule = schedule_from_potentials(g, rv, k, result.constraints, starts, result.period);
   }
   return result;
 }

@@ -83,7 +83,8 @@ struct KPeriodicResult {
 
 struct KEvalOptions {
   McrpOptions mcrp{};
-  /// Whether to extract start times (costs one relaxation pass).
+  /// Whether to extract start times (one kernel call over every arc:
+  /// compute_mcrp_potentials).
   bool want_schedule = true;
 };
 
@@ -124,8 +125,8 @@ struct KIterWorkspace {
 
 /// One allocation-free (when warm) evaluation round: builds the constraint
 /// graph for `k` into ws.constraints, solves the MCRP into ws.solved
-/// (without potentials — schedule extraction is a separate, final-round
-/// concern), and refreshes ws.critical_tasks from the critical (or witness)
+/// (start times are a separate, final-round pass: compute_mcrp_potentials),
+/// and refreshes ws.critical_tasks from the critical (or witness)
 /// circuit. The period for a Feasible round is ws.solved.ratio. A non-null
 /// `poll` is forwarded into constraint generation (see ConstraintPoll);
 /// when it fires the round returns Aborted and the workspace holds a
@@ -156,7 +157,7 @@ KEvalStatus evaluate_k_periodic_round_incremental(const CsdfGraph& g, const Repe
 
 /// Assembles the complete schedule from already-solved node potentials.
 /// Shared by evaluate_k_periodic and the K-iteration finale (which computes
-/// potentials on its warm workspace instead of re-solving from scratch).
+/// potentials on its workspace's final graph instead of re-solving).
 [[nodiscard]] KPeriodicSchedule schedule_from_potentials(
     const CsdfGraph& g, const RepetitionVector& rv, const std::vector<i64>& k,
     const ConstraintGraph& cg, const std::vector<Rational>& potentials, const Rational& period);

@@ -83,9 +83,7 @@ ExpansionResult expansion_throughput(const CsdfGraph& g, const RepetitionVector&
   result.nodes = x.graph.node_count();
   result.arcs = x.graph.arc_count();
 
-  McrpOptions options;
-  options.compute_potentials = false;
-  const McrpResult solved = solve_max_cycle_ratio(x.graph, options);
+  const McrpResult solved = solve_max_cycle_ratio(x.graph);
   switch (solved.status) {
     case McrpStatus::Infeasible:
       // A dependency circuit without tokens: the marked graph deadlocks.

@@ -25,7 +25,7 @@
 // validated. Lazy CSR building makes const adjacency queries non-reentrant:
 // do not query adjacency from multiple threads while the graph is dirty
 // (finalize() first). Adjacency spans point into the shared CSR arrays: any
-// mutation (add_arc/add_node/reset) followed by an adjacency query rebuilds
+// mutation (add_arc/reset) followed by an adjacency query rebuilds
 // those arrays and invalidates every previously returned span — re-query
 // instead of holding spans across mutations.
 #pragma once
@@ -57,11 +57,6 @@ class Digraph {
     nodes_ = node_count;
     arcs_.clear();
     csr_valid_ = false;
-  }
-
-  std::int32_t add_node() {
-    csr_valid_ = false;
-    return nodes_++;
   }
 
   /// Adds an arc src -> dst and returns its id. Parallel arcs and self-loops

@@ -157,7 +157,8 @@ i128 max_cyclic_cost(std::span<const i64> costs, const McrpScratch& s) {
 /// headroom holds every W: i64 when the per-call bound
 /// max|L|·q·M + |p|·max|T| <= INT64_MAX/(n+2) holds, else i128 when each W
 /// passes its check, else Rational (also when the layout has no scale M).
-/// max|L| is only computed when the time term alone leaves room.
+/// max|L| is only computed when the time term alone leaves room. The width
+/// and q·M are recorded in the scratch (label_width, label_scale).
 bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs, i128& max_cost,
                        const Rational& lambda, McrpScratch& s) {
   const std::int32_t n = bg.node_count();
@@ -183,6 +184,8 @@ bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs, i128
         const i64 l = costs.empty() ? 0 : costs[static_cast<std::size_t>(s.cyclic[i].id)];
         s.weights64[i] = l * qm64 - p64 * static_cast<i64>(s.scaled_time[i]);
       }
+      s.label_width = McrpScratch::LabelWidth::I64;
+      s.label_scale = qm;
       return positive_cycle(n, s, s.weights64, s.dist64);
     }
     // Per arc, the products only need to be exact (INT128_MIN is a valid
@@ -199,7 +202,11 @@ bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs, i128
              !__builtin_mul_overflow(lambda.num(), s.scaled_time[i], &time) &&
              !__builtin_sub_overflow(cost, time, &w) && w <= limit && w >= -limit;
     }
-    if (fits) return positive_cycle(n, s, s.weights128, s.dist128);
+    if (fits) {
+      s.label_width = McrpScratch::LabelWidth::I128;
+      s.label_scale = qm;
+      return positive_cycle(n, s, s.weights128, s.dist128);
+    }
     // Scaled weights too large: fall through to Rational labels.
   }
   const std::span<const Rational> times = bg.times();
@@ -208,6 +215,8 @@ bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs, i128
     const auto id = static_cast<std::size_t>(s.cyclic[i].id);
     s.weights[i] = (costs.empty() ? Rational{} : Rational{costs[id]}) - lambda * times[id];
   }
+  s.label_width = McrpScratch::LabelWidth::Exact;
+  s.label_scale = 1;
   return positive_cycle(n, s, s.weights, s.dist);
 }
 
@@ -220,23 +229,24 @@ bool is_infeasible_circuit(i64 cost, const Rational& time) {
 /// (Re)derives the scratch's SCC-restricted cyclic core and its CSR
 /// adjacency for `bg` (whose Digraph must be finalized), recording the
 /// topology key so a later topology-matching solve or positive-cycle check
-/// keeps them. The scaled H is left stale: scale_cyclic_times follows, and
-/// re-derives M.
-void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch) {
+/// keeps them. With `every_arc` the core is the whole graph and no SCC pass
+/// runs (the potentials pass). The scaled H is left stale:
+/// scale_cyclic_times follows, and re-derives M.
+void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch, bool every_arc) {
   const Digraph& g = bg.graph();
   const std::int32_t n = g.node_count();
   scratch.warm_topology = 0;
   scratch.warm_stamp = 0;
   // Circuits live inside strongly connected components; restrict the
   // cycle search to arcs whose endpoints share an SCC.
-  strongly_connected_components(g, scratch.scc, scratch.scc_result);
+  if (!every_arc) strongly_connected_components(g, scratch.scc, scratch.scc_result);
   const SccResult& scc = scratch.scc_result;
   scratch.cyclic.clear();
   const std::span<const Digraph::Arc> all_arcs = g.arcs();
   for (std::int32_t a = 0; a < g.arc_count(); ++a) {
     const auto& e = all_arcs[static_cast<std::size_t>(a)];
-    if (scc.component_of[static_cast<std::size_t>(e.src)] ==
-        scc.component_of[static_cast<std::size_t>(e.dst)]) {
+    if (every_arc || scc.component_of[static_cast<std::size_t>(e.src)] ==
+                         scc.component_of[static_cast<std::size_t>(e.dst)]) {
       scratch.cyclic.push_back(ArcRef{a, e.src, e.dst});
     }
   }
@@ -314,7 +324,7 @@ void prepare_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch, bool reu
                              scratch.warm_topology == bg.topology_stamp() &&
                              scratch.warm_nodes == bg.graph().node_count() &&
                              scratch.warm_arcs == bg.graph().arc_count();
-  if (!same_topology) derive_cyclic_core(bg, scratch);
+  if (!same_topology) derive_cyclic_core(bg, scratch, false);
   if (scratch.warm_stamp != bg.layout_stamp()) scale_cyclic_times(bg, scratch, same_topology);
 }
 
@@ -351,7 +361,6 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   out.status = McrpStatus::NoCycle;
   out.ratio = Rational{0};
   out.critical_cycle.clear();
-  out.potentials.clear();
   out.iterations = 0;
   out.exact_iterations = 0;
 
@@ -392,8 +401,7 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
 
   if (!cyclic.empty()) {
     i128 max_cost = -1;
-    for (int iter = 0; iter < options.max_iterations; ++iter) {
-      if (!positive_cycle_at(bg, costs, max_cost, lambda, scratch)) break;
+    while (positive_cycle_at(bg, costs, max_cost, lambda, scratch)) {
       const i64 lc = bg.cycle_cost(scratch.bf_cycle);
       const Rational hc = bg.cycle_time(scratch.bf_cycle);
       if (is_infeasible_circuit(lc, hc)) {
@@ -440,11 +448,6 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   }
   out.ratio = lambda;
   out.critical_cycle.assign(critical.begin(), critical.end());
-
-  // ---- potentials: valid start times at the optimum ------------------------
-  if (options.compute_potentials) {
-    compute_mcrp_potentials(bg, lambda, scratch, out.potentials);
-  }
 }
 
 bool has_positive_cycle(const BivaluedGraph& bg, std::span<const i64> costs,
@@ -460,39 +463,26 @@ bool has_positive_cycle(const BivaluedGraph& bg, std::span<const i64> costs,
 }
 
 void compute_mcrp_potentials(const BivaluedGraph& bg, const Rational& lambda,
-                             McrpScratch& scratch, std::vector<Rational>& out) {
-  const Digraph& g = bg.graph();
-  const std::int32_t n = g.node_count();
-  g.finalize();
-  const std::span<const i64> costs = bg.costs();
-  const std::span<const Rational> times = bg.times();
-  out.assign(static_cast<std::size_t>(n), Rational{0});
-  // Worklist longest-path relaxation over *all* arcs (converges: no
-  // positive circuit exists at λ).
-  scratch.queued.assign(static_cast<std::size_t>(n), 1);
-  RingQueue queue(scratch.ring, n);
-  for (std::int32_t v = 0; v < n; ++v) queue.push(v);
-  const i128 guard_limit = checked_mul(i128{n} + 1, i128{g.arc_count()} + 1);
-  i128 guard = 0;
-  while (!queue.empty()) {
-    const std::int32_t u = queue.pop();
-    scratch.queued[static_cast<std::size_t>(u)] = 0;
-    for (const std::int32_t a : g.out_span(u)) {
-      if (++guard > guard_limit) {
-        throw SolverError("potential relaxation did not converge (invariant breach)");
-      }
-      const std::int32_t v = g.arc_unchecked(a).dst;
-      Rational cand = out[static_cast<std::size_t>(u)] +
-                      Rational(i128{costs[static_cast<std::size_t>(a)]}, 1) -
-                      lambda * times[static_cast<std::size_t>(a)];
-      if (cand > out[static_cast<std::size_t>(v)]) {
-        out[static_cast<std::size_t>(v)] = std::move(cand);
-        if (!scratch.queued[static_cast<std::size_t>(v)]) {
-          scratch.queued[static_cast<std::size_t>(v)] = 1;
-          queue.push(v);
-        }
-      }
-    }
+                             std::vector<Rational>& out) {
+  bg.graph().finalize();
+  const auto n = static_cast<std::size_t>(bg.node_count());
+  out.assign(n, Rational{0});
+  if (bg.arc_count() == 0) return;  // the kernel's CSR needs an arc
+  // One kernel call over every arc from zero labels: with no positive
+  // circuit at λ it ends at the least nonnegative potentials, scaled by the
+  // call's q·M.
+  McrpScratch s;
+  derive_cyclic_core(bg, s, true);
+  scale_cyclic_times(bg, s, false);
+  i128 max_cost = -1;
+  if (positive_cycle_at(bg, bg.costs(), max_cost, lambda, s)) {
+    throw SolverError("potential relaxation did not converge (invariant breach)");
+  }
+  using enum McrpScratch::LabelWidth;
+  for (std::size_t v = 0; v < n; ++v) {
+    out[v] = s.label_width == I64    ? Rational(i128{s.dist64[v]}, s.label_scale)
+             : s.label_width == I128 ? Rational(s.dist128[v], s.label_scale)
+                                     : s.dist[v];
   }
 }
 

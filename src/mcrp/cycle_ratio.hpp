@@ -41,6 +41,12 @@
 // Termination: every improvement sets λ to the ratio of a distinct
 // elementary circuit and ratios strictly increase, so the loop is finite.
 //
+// Start times (compute_mcrp_potentials) are one more call of the same
+// kernel, at the optimal λ over every arc of the graph: with no positive
+// circuit left, it ends at the least nonnegative potentials, which are the
+// final labels divided by the call's q·M. The call runs on a scratch of its
+// own, so a warm solve's state is never touched.
+//
 // Warm start (McrpOptions::howard_warm_start): the previous solve's
 // critical circuit, kept in the scratch as arc ids, seeds λ whenever those
 // ids still form a simple circuit of the current graph — whatever changed
@@ -76,6 +82,7 @@ enum class McrpStatus {
   NoCycle,     ///< the graph has no circuit: any period >= 0 is feasible.
 };
 
+/// Start times at the solved λ are a separate call (compute_mcrp_potentials).
 struct McrpResult {
   McrpStatus status = McrpStatus::NoCycle;
 
@@ -86,11 +93,6 @@ struct McrpResult {
   /// Arc ids of a critical circuit (Optimal) or of an infeasibility witness
   /// (Infeasible), in traversal order.
   std::vector<std::int32_t> critical_cycle;
-
-  /// Node potentials S with S_v - S_u >= L(e) - λ·H(e) for every arc —
-  /// i.e. valid start times of the minimum-period schedule. Filled when
-  /// status != Infeasible and options.compute_potentials.
-  std::vector<Rational> potentials;
 
   /// Candidate-circuit improvements, plus one for an infeasibility witness
   /// the loop found.
@@ -114,11 +116,6 @@ struct McrpOptions {
   /// only iteration counts and which co-critical circuit is reported can
   /// change. Off by default; the parametric-sweep service turns it on.
   bool howard_warm_start = false;
-  /// Fill McrpResult::potentials.
-  bool compute_potentials = true;
-  /// Safety bound on improvement steps (a diagnostic aid; the algorithm
-  /// terminates on its own).
-  int max_iterations = 1 << 20;
 };
 
 /// Reusable state for the scratch-based overload.
@@ -162,6 +159,11 @@ struct McrpScratch {
   std::vector<i128> dist128;
   std::vector<Rational> weights;
   std::vector<Rational> dist;
+  // The width the last kernel call ran at, and its scale q·M: its labels
+  // (dist64, dist128 or dist) are q·M times the unscaled path weights.
+  enum class LabelWidth : std::int8_t { I64, I128, Exact };
+  LabelWidth label_width = LabelWidth::Exact;
+  i128 label_scale = 1;
   // Relaxation forest: parent arc (index into `cyclic`, -1 at a root) and
   // the preorder list (next/prev, circular through the virtual root n) with
   // each node's depth; -1 marks a node out of the forest.
@@ -217,12 +219,14 @@ void solve_max_cycle_ratio(const BivaluedGraph& g, const McrpOptions& options,
 [[nodiscard]] bool has_positive_cycle(const BivaluedGraph& g, std::span<const i64> costs,
                                       const Rational& lambda, McrpScratch& scratch);
 
-/// Just the potentials relaxation at a given λ (the pass solve_… performs
-/// when compute_potentials is set). Precondition: no circuit of `g` has
-/// positive weight under w_λ — i.e. λ is (at least) the max cycle ratio.
-/// Lets a caller that already solved without potentials extract start times
-/// later without re-running the improvement loop.
+/// The least nonnegative node potentials S with
+/// S_v - S_u >= L(e) - λ·H(e) for every arc — valid start times of the
+/// minimum-period schedule when λ is the solved ratio. One call of the
+/// positive-cycle kernel over every arc, from zero labels, at the width its
+/// per-call rule picks, on a scratch of its own. Precondition: no circuit
+/// of `g` has positive weight under w_λ, i.e. λ is at least the max cycle
+/// ratio; a breach throws SolverError.
 void compute_mcrp_potentials(const BivaluedGraph& g, const Rational& lambda,
-                             McrpScratch& scratch, std::vector<Rational>& out);
+                             std::vector<Rational>& out);
 
 }  // namespace kp

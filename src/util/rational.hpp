@@ -44,10 +44,6 @@ class Rational {
   [[nodiscard]] constexpr i128 num() const noexcept { return num_; }
   [[nodiscard]] constexpr i128 den() const noexcept { return den_; }
 
-  /// Numerator / denominator narrowed to 64 bits (throws if they do not fit).
-  [[nodiscard]] i64 num64() const { return narrow64(num_); }
-  [[nodiscard]] i64 den64() const { return narrow64(den_); }
-
   [[nodiscard]] constexpr bool is_zero() const noexcept { return num_ == 0; }
   [[nodiscard]] constexpr bool is_integer() const noexcept { return den_ == 1; }
   [[nodiscard]] constexpr int sign() const noexcept { return num_ < 0 ? -1 : (num_ > 0 ? 1 : 0); }

@@ -20,13 +20,6 @@ TEST(Digraph, BasicConstruction) {
   EXPECT_TRUE(g.out_arcs(2).empty());
 }
 
-TEST(Digraph, AddNodeGrows) {
-  Digraph g;
-  EXPECT_EQ(g.add_node(), 0);
-  EXPECT_EQ(g.add_node(), 1);
-  EXPECT_EQ(g.node_count(), 2);
-}
-
 TEST(Digraph, SelfLoopAndParallelArcs) {
   Digraph g(2);
   g.add_arc(0, 0);

@@ -154,9 +154,7 @@ TEST(Incremental, RandomizedRoundByRoundEquivalence) {
       const ConstraintGraph reference = build_constraint_graph_reference(g, rv, k);
       EXPECT_EQ(canonical_arcs(ws.constraints), canonical_arcs(reference)) << context;
 
-      McrpOptions mcrp;
-      mcrp.compute_potentials = false;
-      const McrpResult ref_solved = solve_max_cycle_ratio(reference.graph, mcrp);
+      const McrpResult ref_solved = solve_max_cycle_ratio(reference.graph);
       EXPECT_EQ(ws.solved.status, ref_solved.status) << context;
       if (ref_solved.status == McrpStatus::Optimal) {
         EXPECT_EQ(ws.solved.ratio, ref_solved.ratio) << context;
@@ -566,7 +564,6 @@ GraphDelta same_layout_delta(Rng& rng, const CsdfGraph& g, int kind) {
 TEST(Incremental, SameLayoutRoundsRewriteInPlaceOrSpliceFromAside) {
   McrpOptions warm_options;
   warm_options.howard_warm_start = true;
-  warm_options.compute_potentials = false;
   McrpOptions cold_options = warm_options;
   cold_options.howard_warm_start = false;
 

@@ -7,6 +7,7 @@
 #include "core/constraints.hpp"
 #include "core/kiter.hpp"
 #include "core/verify.hpp"
+#include "gen/categories.hpp"
 #include "gen/csdf_apps.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/random_csdf.hpp"
@@ -314,6 +315,53 @@ TEST(KIter, TinyPipelineThroughput) {
   const SimResult sim = symbolic_execution_throughput(g, rv);
   ASSERT_EQ(sim.status, SimStatus::Periodic);
   EXPECT_EQ(r.period, sim.period);
+}
+
+// Table 1's MimicDSP and LgHSDF graphs (serialized, as the service and the
+// tables analyze them), with the seeds test_gen uses. Their final solves
+// leave the i64 label width: some run on Rational labels (no scale M fits
+// i128), others at an M above 2^62. Each period is checked against
+// symbolic execution where it finishes within 20,000 states, and each
+// default-option schedule — the potentials pass at those widths — by
+// simulation where Σq < 2·10^4.
+TEST(KIter, Table1GraphsOutsideI64AgreeWithSymbolicAndSimulation) {
+  std::vector<NamedGraph> graphs = make_mimic_dsp(1, 30);
+  for (NamedGraph& ng : make_lg_hsdf(2, 20)) graphs.push_back(std::move(ng));
+  KIterWorkspace ws;
+  int rational_labels = 0;
+  int wide_scale = 0;
+  int agreed = 0;
+  int verified = 0;
+  for (const NamedGraph& ng : graphs) {
+    SCOPED_TRACE(ng.name);
+    const CsdfGraph g = add_serialization_buffers(ng.graph);
+    const RepetitionVector rv = compute_repetition_vector(g);
+    ASSERT_TRUE(rv.consistent);
+    const KIterResult r = kiter_throughput(g, rv, {}, ws);
+    ASSERT_EQ(r.status, ThroughputStatus::Optimal);
+    if (ws.mcrp.time_scale == 0) {
+      ++rational_labels;
+    } else if (ws.mcrp.time_scale > (i128{1} << 62)) {
+      ++wide_scale;
+    }
+    SimOptions sim_options;
+    sim_options.max_states = 20000;
+    const SimResult sim = symbolic_execution_throughput(g, rv, sim_options);
+    if (sim.status != SimStatus::Budget) {
+      ASSERT_EQ(sim.status, SimStatus::Periodic);
+      EXPECT_EQ(r.period, sim.period);
+      ++agreed;
+    }
+    if (rv.sum < 20000) {
+      const ScheduleCheck check = verify_schedule_by_simulation(g, rv, r.schedule, 1);
+      EXPECT_TRUE(check.ok) << check.violation;
+      ++verified;
+    }
+  }
+  EXPECT_GT(rational_labels, 0);
+  EXPECT_GT(wide_scale, 0);
+  EXPECT_GE(agreed, 40);
+  EXPECT_GE(verified, 10);
 }
 
 // The paper's central claim, as a property: K-Iter is *exact*. On every

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "api/analysis.hpp"
 #include "core/constraints.hpp"
+#include "core/kiter.hpp"
+#include "gen/categories.hpp"
 #include "io/text_format.hpp"
 #include "mcrp/cycle_ratio.hpp"
 #include "mcrp/karp.hpp"
@@ -105,9 +109,49 @@ TEST(CycleRatio, ZeroCostNegativeTimeIsInfeasible) {
   EXPECT_EQ(r.status, McrpStatus::Infeasible);
 }
 
+/// Expects `s` to be the least nonnegative potentials of `g` at λ, with
+/// checks that share no code with the kernel: S >= 0, every arc satisfied
+/// (S_v - S_u >= L(e) - λ·H(e)), and every node reachable from a
+/// zero-potential node along tight arcs (S_v = S_u + L(e) - λ·H(e)). Any
+/// feasible S' >= 0 is at least the weight of such a path, so S <= S'.
+void expect_least_potentials(const BivaluedGraph& g, const Rational& lambda,
+                             const std::vector<Rational>& s) {
+  const auto n = static_cast<std::size_t>(g.node_count());
+  ASSERT_EQ(s.size(), n);
+  std::vector<std::vector<std::size_t>> tight(n);  // heads of each node's tight arcs
+  for (std::int32_t a = 0; a < g.arc_count(); ++a) {
+    const auto src = static_cast<std::size_t>(g.graph().arc(a).src);
+    const auto dst = static_cast<std::size_t>(g.graph().arc(a).dst);
+    const Rational bound = s[src] + (Rational{g.cost(a)} - lambda * g.time(a));
+    EXPECT_GE(s[dst], bound) << "arc " << a;
+    if (s[dst] == bound) tight[src].push_back(dst);
+  }
+  std::vector<bool> reached(n, false);
+  std::vector<std::size_t> stack;
+  for (std::size_t v = 0; v < n; ++v) {
+    EXPECT_GE(s[v], Rational{0}) << "node " << v;
+    if (s[v].is_zero()) {
+      reached[v] = true;
+      stack.push_back(v);
+    }
+  }
+  while (!stack.empty()) {
+    const std::size_t u = stack.back();
+    stack.pop_back();
+    for (const std::size_t v : tight[u]) {
+      if (!reached[v]) {
+        reached[v] = true;
+        stack.push_back(v);
+      }
+    }
+  }
+  for (std::size_t v = 0; v < n; ++v) EXPECT_TRUE(reached[v]) << "node " << v;
+}
+
 TEST(CycleRatio, PotentialsSatisfyAllConstraints) {
   Rng rng(99);
   for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
     const auto n = static_cast<std::int32_t>(rng.uniform(3, 15));
     BivaluedGraph g(n);
     for (i64 i = 0; i < 3 * n; ++i) {
@@ -117,15 +161,41 @@ TEST(CycleRatio, PotentialsSatisfyAllConstraints) {
     }
     const McrpResult r = solve_max_cycle_ratio(g);
     ASSERT_EQ(r.status, McrpStatus::Optimal);
-    ASSERT_EQ(r.potentials.size(), static_cast<std::size_t>(n));
-    for (std::int32_t a = 0; a < g.arc_count(); ++a) {
-      const auto& arc = g.graph().arc(a);
-      const Rational lhs = r.potentials[static_cast<std::size_t>(arc.dst)] -
-                           r.potentials[static_cast<std::size_t>(arc.src)];
-      const Rational rhs = Rational{g.cost(a)} - r.ratio * g.time(a);
-      EXPECT_GE(lhs, rhs) << "arc " << a << " round " << round;
-    }
+    std::vector<Rational> potentials;
+    compute_mcrp_potentials(g, r.ratio, potentials);
+    expect_least_potentials(g, r.ratio, potentials);
   }
+  // K-Iter's final constraint graphs of Table 1 graphs whose solves leave
+  // i64 (test_gen's seeds): the pass at CSDF scale, on Rational labels and
+  // at M > 2^62.
+  std::vector<NamedGraph> table1 = make_mimic_dsp(1, 30);
+  for (NamedGraph& ng : make_lg_hsdf(2, 20)) table1.push_back(std::move(ng));
+  KIterOptions no_schedule;
+  no_schedule.want_schedule = false;
+  KIterWorkspace ws;
+  int rational_labels = 0;
+  int wide_scale = 0;
+  for (const NamedGraph& ng : table1) {
+    SCOPED_TRACE(ng.name);
+    const CsdfGraph g = add_serialization_buffers(ng.graph);
+    const KIterResult r = kiter_throughput(g, compute_repetition_vector(g), no_schedule, ws);
+    ASSERT_EQ(r.status, ThroughputStatus::Optimal);
+    const i128 m = ws.mcrp.time_scale;
+    if (m != 0 && m <= (i128{1} << 62)) continue;
+    ++(m == 0 ? rational_labels : wide_scale);
+    std::vector<Rational> potentials;
+    compute_mcrp_potentials(ws.constraints.graph, r.period, potentials);
+    expect_least_potentials(ws.constraints.graph, r.period, potentials);
+  }
+  EXPECT_GT(rational_labels, 0);
+  EXPECT_GT(wide_scale, 0);
+  // A graph without arcs: all-zero start times, no kernel call.
+  std::vector<Rational> potentials;
+  compute_mcrp_potentials(BivaluedGraph(3), Rational{5}, potentials);
+  EXPECT_EQ(potentials, std::vector<Rational>(3));
+  // Below the optimum a positive circuit remains: the invariant breach.
+  const BivaluedGraph loop = single_loop(6, Rational{2});
+  EXPECT_THROW(compute_mcrp_potentials(loop, Rational{2}, potentials), SolverError);
 }
 
 TEST(CycleRatio, CriticalCycleAchievesRatio) {
@@ -246,6 +316,7 @@ TEST(CycleRatio, ThreeLabelWidthsAgree) {
                                   {"i128", big, false, 0, 16, 0},
                                   {"Rational", 1, true, 0, 0, 16}};
   for (const Width& w : widths) {
+    SCOPED_TRACE(w.name);
     const BivaluedGraph g = build(w.cost_scale, w.split_h);
     McrpScratch scratch;
     McrpResult r;
@@ -259,6 +330,9 @@ TEST(CycleRatio, ThreeLabelWidthsAgree) {
     EXPECT_EQ(scratch.dist128.size(), w.labels128) << w.name;
     EXPECT_EQ(scratch.dist.size(), w.rational_labels) << w.name;
     EXPECT_EQ(scratch.time_scale, w.split_h ? 0 : 1) << w.name;
+    std::vector<Rational> potentials;
+    compute_mcrp_potentials(g, r.ratio, potentials);
+    expect_least_potentials(g, r.ratio, potentials);
     EXPECT_FALSE(has_positive_cycle(g, g.costs(), r.ratio, scratch)) << w.name;
     EXPECT_TRUE(has_positive_cycle(g, g.costs(), r.ratio * Rational::of(99, 100), scratch))
         << w.name;

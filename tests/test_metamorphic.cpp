@@ -8,10 +8,14 @@
 // kernel makes is homogeneous in c, so the K-iteration takes the same
 // rounds, each solve the same improvement steps, and the same critical
 // cycle is reported. Checked cold and as a warm per-point analyze_variants
-// sweep, for c in {1, 2^20, 2^40}; at c = 2^40 the kernel's scaled weights
-// leave the i64 label width, so the same trajectories also run on i128
-// labels. Half the graphs get tight buffer capacities, so K-Iter takes
-// several rounds. A failure names its seed and prints the graph.
+// sweep, for c in {1, 2^20, 2^40}; at c = 2^40 a few of the solves'
+// kernel calls leave the i64 label width and run on i128 labels. Half the
+// graphs get tight buffer capacities, so K-Iter takes several rounds. The
+// default-option K-Iter schedule scales the same way: every start time and
+// task period by exactly c, for c in {1, 2^20, 2^40, 2^52}. Its potentials
+// pass still runs on i64 labels at c = 2^40 on these graphs; at c = 2^52
+// most passes run on i128 labels. A failure names its seed and prints the
+// graph.
 //
 // Monotonicity: a token added to any buffer never raises the period, and a
 // raised duration never lowers it (a deadlocked graph counts as an
@@ -36,6 +40,7 @@
 
 #include "api/analysis.hpp"
 #include "api/service.hpp"
+#include "core/kiter.hpp"
 #include "gen/random_csdf.hpp"
 #include "io/text_format.hpp"
 #include "model/transform.hpp"
@@ -96,15 +101,42 @@ void expect_scaled(const Analysis& scaled, const Analysis& base, i64 c) {
   EXPECT_EQ(got.ratio, want.ratio * Rational{c});
 }
 
+/// Expects `scaled` to be `base`'s K-Iter schedule with every start time
+/// and task period multiplied by c.
+void expect_schedule_scaled(const KIterResult& scaled, const KIterResult& base, i64 c) {
+  const KPeriodicSchedule& got = scaled.schedule;
+  const KPeriodicSchedule& want = base.schedule;
+  EXPECT_EQ(scaled.status, base.status);
+  EXPECT_EQ(got.k, want.k);
+  EXPECT_EQ(got.period, want.period * Rational{c});
+  ASSERT_EQ(got.task_periods.size(), want.task_periods.size());
+  ASSERT_EQ(got.starts.size(), want.starts.size());
+  for (std::size_t t = 0; t < want.starts.size(); ++t) {
+    EXPECT_EQ(got.task_periods[t], want.task_periods[t] * Rational{c}) << "task " << t;
+    ASSERT_EQ(got.starts[t].size(), want.starts[t].size()) << "task " << t;
+    for (std::size_t i = 0; i < want.starts[t].size(); ++i) {
+      EXPECT_EQ(got.starts[t][i], want.starts[t][i] * Rational{c}) << "task " << t << " start " << i;
+    }
+  }
+}
+
 TEST(Metamorphic, ScalingDurationsScalesThePeriodAndNothingElse) {
   const std::vector<i64> factors{i64{1} << 20, i64{1} << 40};
   int cold_values = 0;
   int warm_values = 0;
   int multi_round = 0;
+  int schedules = 0;
   for (u64 seed = 1; seed <= 80; ++seed) {
     const CsdfGraph g = graph_for_seed(seed);
     SCOPED_TRACE("seed " + std::to_string(seed) + ", graph:\n" + print_csdf(g));
     const Analysis cold = analyze_throughput(g, Method::KIter);
+    const KIterResult schedule = kiter_throughput(add_serialization_buffers(g));
+    schedules += schedule.schedule.starts.empty() ? 0 : 1;
+    for (const i64 c : {i64{1}, i64{1} << 20, i64{1} << 40, i64{1} << 52}) {
+      SCOPED_TRACE("schedule, c = " + std::to_string(c));
+      const CsdfGraph scaled = add_serialization_buffers(with_durations_scaled(g, c));
+      expect_schedule_scaled(kiter_throughput(scaled), schedule, c);
+    }
     const BufferId swept = static_cast<BufferId>(seed % static_cast<u64>(g.buffer_count()));
 
     VariantBatch batch;
@@ -134,6 +166,7 @@ TEST(Metamorphic, ScalingDurationsScalesThePeriodAndNothingElse) {
   EXPECT_GE(cold_values, 70);
   EXPECT_GE(warm_values, 350);
   EXPECT_GE(multi_round, 12) << "some graphs must take several K-Iter rounds";
+  EXPECT_GE(schedules, 70);
 }
 
 /// The period as an order on outcomes: Unbounded is 0, Deadlock +∞.

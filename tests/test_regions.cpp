@@ -480,9 +480,7 @@ TEST(Regions, CrossingOverflowFallsBackToBisection) {
   cg.task_first_node = {0, 1};
   McrpScratch mcrp;
   McrpResult solved;
-  McrpOptions options;
-  options.compute_potentials = false;
-  solve_max_cycle_ratio(cg.graph, options, mcrp, solved);
+  solve_max_cycle_ratio(cg.graph, McrpOptions{}, mcrp, solved);
   const CriticalCycleCert cert = extract_critical_cycle_cert(cg, solved);
   ASSERT_EQ(cert.ratio, Rational(3));
   ExecTimeRay ray;

@@ -170,7 +170,6 @@ TEST(WarmStart, McrpWarmStartMatchesColdThroughCostPatches) {
   McrpScratch warm_scratch;
   McrpResult warm;
   McrpOptions warm_options;
-  warm_options.compute_potentials = false;
   warm_options.howard_warm_start = true;
   McrpOptions cold_options = warm_options;
   cold_options.howard_warm_start = false;
