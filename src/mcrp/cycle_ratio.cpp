@@ -57,26 +57,31 @@ bool close_cycle(std::int32_t u, std::int32_t v, std::int32_t i, McrpScratch& s)
 }
 
 /// The positive-cycle kernel: queue-based (SPFA-style) longest-path
-/// relaxation with all-zero sources over the cyclic core (scratch.cyclic +
-/// its CSR) under per-cyclic-arc weights `w`, on labels `dist`. Returns
-/// whether a positive-weight circuit exists; if so, one is left in
-/// scratch.bf_cycle.
+/// relaxation over the cyclic core (scratch.cyclic + its CSR) under
+/// per-cyclic-arc weights `w`, on labels `dist`. Returns whether a
+/// positive-weight circuit exists; if so, one is left in scratch.bf_cycle.
+/// It starts from zero labels with every node that has an out-arc queued,
+/// or, when `seeded`, from the labels the caller left in `dist`, queueing
+/// the nodes the caller flagged in scratch.queued. The answer does not
+/// depend on the start labels; which circuit a "yes" names does.
 ///
 /// Tarjan's subtree disassembly: the parent pointers form a forest kept as
 /// one preorder list, circular through the virtual root n (depth -1) whose
-/// zero-weight arcs give the all-zero start. Before v improves via arc
-/// (u, v), v's subtree — the preorder run after v deeper than v — is
-/// walked: meeting u there means the tree path v..u plus (u, v) is a
-/// positive circuit. Otherwise the run leaves the forest and v is inserted
-/// as u's first child. A popped node out of the forest is skipped: an
-/// ancestor improved since it was queued, so its label will improve again.
-/// Every label therefore stays the weight of a simple path (at most n-1
-/// arcs), which is the headroom bound integer labels rely on.
+/// arcs, weighted by the start labels, make every node a root at first.
+/// Before v improves via arc (u, v), v's subtree — the preorder run after v
+/// deeper than v — is walked: meeting u there means the tree path v..u plus
+/// (u, v) is a positive circuit. Otherwise the run leaves the forest and v
+/// is inserted as u's first child. A popped node out of the forest is
+/// skipped: an ancestor improved since it was queued, so its label will
+/// improve again. Every label therefore stays its root's start label plus
+/// the weight of a simple path (at most n-1 arcs), which is the headroom
+/// bound integer labels rely on. Labels only rise, so from zero or from
+/// kept labels they stay nonnegative.
 template <typename Label>
 bool positive_cycle(std::int32_t n, McrpScratch& s, const std::vector<Label>& w,
-                    std::vector<Label>& dist) {
+                    std::vector<Label>& dist, bool seeded = false) {
   const auto un = static_cast<std::size_t>(n);
-  dist.assign(un, Label{});
+  if (!seeded) dist.assign(un, Label{});
   s.parent.assign(un, -1);
   s.depth.assign(un + 1, 0);
   s.depth[un] = -1;
@@ -86,12 +91,13 @@ bool positive_cycle(std::int32_t n, McrpScratch& s, const std::vector<Label>& w,
     s.next[v] = static_cast<std::int32_t>(v == un ? 0 : v + 1);
     s.prev[v] = static_cast<std::int32_t>(v == 0 ? un : v - 1);
   }
-  s.queued.assign(un, 0);
+  if (!seeded) s.queued.assign(un, 0);
   s.bf_cycle.clear();
   RingQueue queue(s.ring, n);
   for (std::int32_t v = 0; v < n; ++v) {
-    if (s.out_offsets[static_cast<std::size_t>(v)] !=
-        s.out_offsets[static_cast<std::size_t>(v) + 1]) {
+    if (seeded ? s.queued[static_cast<std::size_t>(v)] != 0
+               : s.out_offsets[static_cast<std::size_t>(v)] !=
+                     s.out_offsets[static_cast<std::size_t>(v) + 1]) {
       queue.push(v);
       s.queued[static_cast<std::size_t>(v)] = 1;
     }
@@ -148,6 +154,24 @@ i128 max_cyclic_cost(std::span<const i64> costs, const McrpScratch& s) {
   return max_cost;
 }
 
+/// Whether an i64 call at scale `qm` whose weights are bounded by `bound`
+/// starts from the kept labels: they must be at that q·M and node count,
+/// and leave the headroom max|d0| + (n+1)·bound <= INT64_MAX for every label
+/// sum of the call (a label is its start label plus a simple path). If so,
+/// they are copied into dist64 and scratch.queued is cleared for the seed.
+bool start_from_kept(std::int32_t n, i128 qm, i128 bound, McrpScratch& s) {
+  if (s.kept64.size() != static_cast<std::size_t>(n) || s.kept_scale != qm) return false;
+  const i64 peak = *std::max_element(s.kept64.begin(), s.kept64.end());  // labels are >= 0
+  if (i128{peak} + (i128{n} + 1) * bound > INT64_MAX) {
+    ++s.kept_bound_resets;
+    return false;
+  }
+  ++s.kept_starts;
+  s.dist64.assign(s.kept64.begin(), s.kept64.end());
+  s.queued.assign(static_cast<std::size_t>(n), 0);
+  return true;
+}
+
 /// True iff some circuit of the cyclic core is positive under
 /// w(e) = L(e) - λ·H(e), where L(e) = costs[e], or L ≡ 0 when `costs` is
 /// empty; one such circuit is left in scratch.bf_cycle. `max_cost` caches
@@ -159,8 +183,13 @@ i128 max_cyclic_cost(std::span<const i64> costs, const McrpScratch& s) {
 /// passes its check, else Rational (also when the layout has no scale M).
 /// max|L| is only computed when the time term alone leaves room. The width
 /// and q·M are recorded in the scratch (label_width, label_scale).
+///
+/// Under `reuse` an i64 call starts from the kept labels when
+/// start_from_kept admits them, queueing the source of every arc they
+/// violate; a "yes" from them is re-run from zero labels, so the circuit is
+/// the zero-start one. An i64 "no" under `reuse` keeps its labels.
 bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs, i128& max_cost,
-                       const Rational& lambda, McrpScratch& s) {
+                       const Rational& lambda, McrpScratch& s, bool reuse) {
   const std::int32_t n = bg.node_count();
   const std::size_t m = s.cyclic.size();
   if (s.time_scale != 0) {
@@ -179,14 +208,30 @@ bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs, i128
       // i64 meets a zero co-factor, and the (modular) narrowing is exact.
       const auto qm64 = static_cast<i64>(qm);
       const auto p64 = static_cast<i64>(lambda.num());
+      const bool seeded = reuse && start_from_kept(n, qm, bound, s);
       s.weights64.resize(m);
       for (std::size_t i = 0; i < m; ++i) {
-        const i64 l = costs.empty() ? 0 : costs[static_cast<std::size_t>(s.cyclic[i].id)];
-        s.weights64[i] = l * qm64 - p64 * static_cast<i64>(s.scaled_time[i]);
+        const ArcRef& a = s.cyclic[i];
+        const i64 l = costs.empty() ? 0 : costs[static_cast<std::size_t>(a.id)];
+        const i64 w = l * qm64 - p64 * static_cast<i64>(s.scaled_time[i]);
+        s.weights64[i] = w;
+        if (seeded && s.dist64[static_cast<std::size_t>(a.src)] + w >
+                          s.dist64[static_cast<std::size_t>(a.dst)]) {
+          s.queued[static_cast<std::size_t>(a.src)] = 1;
+        }
       }
       s.label_width = McrpScratch::LabelWidth::I64;
       s.label_scale = qm;
-      return positive_cycle(n, s, s.weights64, s.dist64);
+      bool found = positive_cycle(n, s, s.weights64, s.dist64, seeded);
+      if (found && seeded) {
+        ++s.kept_reruns;
+        found = positive_cycle(n, s, s.weights64, s.dist64);
+      }
+      if (reuse && !found) {
+        s.kept64.assign(s.dist64.begin(), s.dist64.end());
+        s.kept_scale = qm;
+      }
+      return found;
     }
     // Per arc, the products only need to be exact (INT128_MIN is a valid
     // intermediate here); the headroom check then bounds W itself.
@@ -318,8 +363,10 @@ void scale_cyclic_times(const BivaluedGraph& bg, McrpScratch& s, bool keep_scale
 /// derived them from a graph of this topology (same arc list; payloads
 /// free), and the scaled H is kept when the layout stamp matches too (same
 /// H; only L may have moved), or else rescaled under the kept M. Without it
-/// everything is derived afresh.
+/// everything is derived afresh and the kept labels are dropped, so every
+/// kernel call of a cold solve starts from zero labels.
 void prepare_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch, bool reuse) {
+  if (!reuse) scratch.kept64.clear();
   const bool same_topology = reuse && scratch.warm_topology != 0 &&
                              scratch.warm_topology == bg.topology_stamp() &&
                              scratch.warm_nodes == bg.graph().node_count() &&
@@ -401,7 +448,7 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
 
   if (!cyclic.empty()) {
     i128 max_cost = -1;
-    while (positive_cycle_at(bg, costs, max_cost, lambda, scratch)) {
+    while (positive_cycle_at(bg, costs, max_cost, lambda, scratch, warm)) {
       const i64 lc = bg.cycle_cost(scratch.bf_cycle);
       const Rational hc = bg.cycle_time(scratch.bf_cycle);
       if (is_infeasible_circuit(lc, hc)) {
@@ -431,12 +478,12 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
     // optimality test.
     if (lambda.is_zero()) {
       i128 no_cost = 0;
-      if (positive_cycle_at(bg, {}, no_cost, Rational{1}, scratch)) {
+      if (positive_cycle_at(bg, {}, no_cost, Rational{1}, scratch, warm)) {
         out.status = McrpStatus::Infeasible;
         out.critical_cycle.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
         return;
       }
-      if (critical.empty() && positive_cycle_at(bg, {}, no_cost, Rational{-1}, scratch)) {
+      if (critical.empty() && positive_cycle_at(bg, {}, no_cost, Rational{-1}, scratch, warm)) {
         critical.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
       }
     }
@@ -459,7 +506,7 @@ bool has_positive_cycle(const BivaluedGraph& bg, std::span<const i64> costs,
   }
   prepare_cyclic_core(bg, scratch, true);
   i128 max_cost = -1;
-  return !scratch.cyclic.empty() && positive_cycle_at(bg, costs, max_cost, lambda, scratch);
+  return !scratch.cyclic.empty() && positive_cycle_at(bg, costs, max_cost, lambda, scratch, true);
 }
 
 void compute_mcrp_potentials(const BivaluedGraph& bg, const Rational& lambda,
@@ -470,12 +517,14 @@ void compute_mcrp_potentials(const BivaluedGraph& bg, const Rational& lambda,
   if (bg.arc_count() == 0) return;  // the kernel's CSR needs an arc
   // One kernel call over every arc from zero labels: with no positive
   // circuit at λ it ends at the least nonnegative potentials, scaled by the
-  // call's q·M.
+  // call's q·M. Zero start labels are what make them least: a relaxation
+  // from other labels ends at a solution above its start, so the call runs
+  // without reuse, on a scratch that holds no kept labels.
   McrpScratch s;
   derive_cyclic_core(bg, s, true);
   scale_cyclic_times(bg, s, false);
   i128 max_cost = -1;
-  if (positive_cycle_at(bg, bg.costs(), max_cost, lambda, s)) {
+  if (positive_cycle_at(bg, bg.costs(), max_cost, lambda, s, false)) {
     throw SolverError("potential relaxation did not converge (invariant breach)");
   }
   using enum McrpScratch::LabelWidth;

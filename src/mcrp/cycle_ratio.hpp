@@ -10,22 +10,38 @@
 //
 // Positive-cycle kernel: one queue-based Bellman–Ford relaxation with
 // Tarjan's subtree disassembly (Cherkassky & Goldberg, "Negative-cycle
-// detection algorithms", Math. Programming 1999). The parent pointers form
-// a forest kept as one preorder list; before a node's label improves, its
-// subtree leaves the forest, and an improvement whose source lies in that
-// subtree closes a positive circuit, which is reported at once. Every label
-// is thus the weight of a simple path. Labels are scaled integers: with M
-// a common multiple of the H denominators over the cyclic core and
-// λ = p/q, an arc weighs W(e) = L(e)·q·M - p·T(e) with T(e) = H(e)·M,
-// exactly (q·M)·w_λ(e), so every comparison matches a relaxation on
-// rationals. The kernel is one template run at three label widths, chosen
-// per call from the input's magnitudes, each with n+2 headroom so that no
-// label sum can wrap: i64 when one bound per call,
-// max|L|·q·M + |p|·max|T| <= INT64_MAX/(n+2), covers every W (the weight
-// pass is then unchecked machine arithmetic); else i128, with each W
-// checked against the i128 headroom; else, when M or some W does not fit
-// there, Rational labels. Every width visits the same arcs in the same
-// order and reports the same circuit.
+// detection algorithms", Math. Programming 1999). Every node starts as a
+// root at its start label. The parent pointers form a forest kept as one
+// preorder list; before a node's label improves, its subtree leaves the
+// forest, and an improvement whose source lies in that subtree closes a
+// positive circuit, which is reported at once. Every label is thus its
+// root's start label plus the weight of a simple path. Labels are scaled
+// integers: with M a common multiple of the H denominators over the cyclic
+// core and λ = p/q, an arc weighs W(e) = L(e)·q·M - p·T(e) with
+// T(e) = H(e)·M, exactly (q·M)·w_λ(e), so every comparison matches a
+// relaxation on rationals. The kernel is one template run at three label
+// widths, chosen per call from the input's magnitudes, each with n+2
+// headroom so that no label sum from zero start labels can wrap: i64 when
+// one bound per call, B = max|L|·q·M + |p|·max|T| <= INT64_MAX/(n+2),
+// covers every W (the weight pass is then unchecked machine arithmetic);
+// else i128, with each W checked against the i128 headroom; else, when M or
+// some W does not fit there, Rational labels. From zero start labels every
+// width visits the same arcs in the same order and reports the same
+// circuit.
+//
+// Kept labels: whether a positive circuit exists does not depend on the
+// start labels, only which one a "yes" names does. The scratch keeps the
+// i64 labels of the last kernel call under reuse (a warm solve or a
+// has_positive_cycle check) that answered "no", with their q·M. A later i64
+// call under reuse at the same q·M and node count starts from them when
+// the warm headroom max|d0| + (n+1)·B <= INT64_MAX holds for their largest
+// label d0 (labels only rise, so over a long sweep they drift upward; a
+// call that fails the rule starts from zero and its "no" replaces them). It
+// queues only the sources of the arcs those labels violate, which on a
+// neighbouring point of a sweep are few. A "no" keeps its labels; a "yes"
+// is re-run from zero labels, so λ, every circuit and both iteration counts
+// are those of zero-start calls. i128 and Rational calls always start from
+// zero and leave the kept labels alone; a solve without reuse drops them.
 //
 // The scale M is derived as the lcm of the cyclic H denominators and then
 // kept per denominator: the scratch remembers, per cyclic arc, the H it was
@@ -42,10 +58,11 @@
 // elementary circuit and ratios strictly increase, so the loop is finite.
 //
 // Start times (compute_mcrp_potentials) are one more call of the same
-// kernel, at the optimal λ over every arc of the graph: with no positive
-// circuit left, it ends at the least nonnegative potentials, which are the
-// final labels divided by the call's q·M. The call runs on a scratch of its
-// own, so a warm solve's state is never touched.
+// kernel, at the optimal λ over every arc of the graph, from zero labels:
+// with no positive circuit left, it ends at the least nonnegative
+// potentials, which are the final labels divided by the call's q·M. The
+// call runs on a scratch of its own, so a warm solve's state is never
+// touched.
 //
 // Warm start (McrpOptions::howard_warm_start): the previous solve's
 // critical circuit, kept in the scratch as arc ids, seeds λ whenever those
@@ -56,9 +73,11 @@
 // one. Under a matching topology stamp the solve also keeps the SCC pass's
 // result — the cyclic core — and its CSR; under a matching layout stamp it
 // keeps the scaled H (M and T(e)) too, and otherwise rescales T(e) under
-// the kept M (BivaluedGraph::topology_stamp / layout_stamp). The loop
-// still runs to quiescence, so values are exact either way; only which
-// co-critical circuit is reported (and the iteration counts) can change.
+// the kept M (BivaluedGraph::topology_stamp / layout_stamp), and its i64
+// kernel calls start from the kept labels. The loop still runs to
+// quiescence, so values are exact either way; only which co-critical
+// circuit is reported (and the iteration counts) can change, through the
+// seed alone.
 //
 // The scratch-based overload reuses every internal buffer (SCC state,
 // relaxation labels, queues, cycle extraction) and the result object's
@@ -111,10 +130,13 @@ struct McrpOptions {
   /// possibly rewritten via set_cost), and otherwise only the rewritten
   /// arcs are rescaled under the kept M (see the header comment). The
   /// scratch's previous critical circuit seeds λ when its arc ids form a
-  /// simple circuit of this graph, stamp or no stamp. Values are
+  /// simple circuit of this graph, stamp or no stamp. Its i64 kernel calls
+  /// start from the scratch's kept labels under the warm headroom rule, and
+  /// keep theirs on a "no" (see the header comment). Values are
   /// unaffected — the exact improvement loop still runs to quiescence —
   /// only iteration counts and which co-critical circuit is reported can
-  /// change. Off by default; the parametric-sweep service turns it on.
+  /// change, and only through the seed: kept labels change neither. Off by
+  /// default; the parametric-sweep service turns it on.
   bool howard_warm_start = false;
 };
 
@@ -164,6 +186,18 @@ struct McrpScratch {
   enum class LabelWidth : std::int8_t { I64, I128, Exact };
   LabelWidth label_width = LabelWidth::Exact;
   i128 label_scale = 1;
+  // Kept labels: dist64 of the last i64 call under reuse that answered
+  // "no", and its q·M; empty when none are kept. A later i64 call under
+  // reuse at the same q·M and node count may start from them (see the
+  // header comment).
+  std::vector<i64> kept64;
+  i128 kept_scale = 0;
+  // Cumulative counts, never reset: calls started from kept labels, their
+  // "yes" answers re-run from zero labels, and calls the warm headroom rule
+  // sent back to zero labels.
+  std::uint64_t kept_starts = 0;
+  std::uint64_t kept_reruns = 0;
+  std::uint64_t kept_bound_resets = 0;
   // Relaxation forest: parent arc (index into `cyclic`, -1 at a root) and
   // the preorder list (next/prev, circular through the virtual root n) with
   // each node's depth; -1 marks a node out of the forest.
@@ -190,11 +224,13 @@ struct McrpScratch {
   std::int32_t warm_nodes = 0;
   std::int32_t warm_arcs = 0;
 
-  /// Forces the next solve fully cold: no reused core, no seed.
+  /// Forces the next solve fully cold: no reused core, no seed, and its
+  /// first kernel call starts from zero labels.
   void reset_warm_start() noexcept {
     warm_topology = 0;
     warm_stamp = 0;
     critical.clear();
+    kept64.clear();
   }
 };
 
@@ -215,17 +251,21 @@ void solve_max_cycle_ratio(const BivaluedGraph& g, const McrpOptions& options,
 /// core and its CSR when the graph's topology stamp matches what the
 /// scratch last derived (any prior solve on `g` records it), keeps the
 /// scaled H when the layout stamp matches too, and otherwise rescales it
-/// under the kept M.
+/// under the kept M; an i64 check starts from the kept labels and keeps
+/// its own on a "no". After a "yes", scratch.bf_cycle holds the circuit a
+/// zero-start call finds.
 [[nodiscard]] bool has_positive_cycle(const BivaluedGraph& g, std::span<const i64> costs,
                                       const Rational& lambda, McrpScratch& scratch);
 
 /// The least nonnegative node potentials S with
 /// S_v - S_u >= L(e) - λ·H(e) for every arc — valid start times of the
 /// minimum-period schedule when λ is the solved ratio. One call of the
-/// positive-cycle kernel over every arc, from zero labels, at the width its
-/// per-call rule picks, on a scratch of its own. Precondition: no circuit
-/// of `g` has positive weight under w_λ, i.e. λ is at least the max cycle
-/// ratio; a breach throws SolverError.
+/// positive-cycle kernel over every arc, at the width its per-call rule
+/// picks, on a scratch of its own. It starts from zero labels, never from
+/// kept ones: the relaxation ends at the least solution above its start
+/// labels, and only zero start labels make that the least nonnegative one.
+/// Precondition: no circuit of `g` has positive weight under w_λ, i.e. λ is
+/// at least the max cycle ratio; a breach throws SolverError.
 void compute_mcrp_potentials(const BivaluedGraph& g, const Rational& lambda,
                              std::vector<Rational>& out);
 

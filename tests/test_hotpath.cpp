@@ -7,7 +7,8 @@
 //   2. A KIterWorkspace reused across consecutive analyses yields results
 //      identical to fresh-workspace runs.
 //   3. A warm K-round (constraint-graph build + MCRP solve) performs zero
-//      heap allocations, verified by a global operator new counting hook.
+//      heap allocations, verified by a global operator new counting hook;
+//      so does a warm MCRP solve whose kernel calls start from kept labels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -180,6 +181,35 @@ TEST(Workspace, WarmRoundDoesNotAllocateOnPaperExample) {
   const std::uint64_t before = g_alloc_count.load();
   (void)evaluate_k_periodic_round(g, rv, k, mcrp, ws);
   EXPECT_EQ(g_alloc_count.load() - before, 0u);
+}
+
+TEST(Workspace, WarmSolveFromKeptLabelsDoesNotAllocate) {
+  // WarmRoundDoesNotAllocate runs with default options, which never keep
+  // labels; here the solver's warm start is on, so the timed solve's kernel
+  // calls start from the labels the warm-up solves kept.
+  const CsdfGraph g = gcd_ring(32);
+  const RepetitionVector rv = compute_repetition_vector(g);
+  ConstraintGraph cg = build_constraint_graph(g, rv, std::vector<i64>{1, 32, 32});
+  McrpOptions warm;
+  warm.howard_warm_start = true;
+
+  McrpScratch scratch;
+  McrpResult r;
+  solve_max_cycle_ratio(cg.graph, warm, scratch, r);
+  solve_max_cycle_ratio(cg.graph, warm, scratch, r);
+  ASSERT_EQ(r.status, McrpStatus::Optimal);
+  const Rational ratio = r.ratio;
+  cg.graph.set_cost(0, cg.graph.cost(0) + 1);  // a neighbouring point
+  const std::uint64_t kept_starts = scratch.kept_starts;
+
+  const std::uint64_t before = g_alloc_count.load();
+  solve_max_cycle_ratio(cg.graph, warm, scratch, r);
+  const std::uint64_t after = g_alloc_count.load();
+
+  EXPECT_EQ(r.status, McrpStatus::Optimal);
+  EXPECT_GE(r.ratio, ratio);
+  EXPECT_GT(scratch.kept_starts, kept_starts) << "the solve must start from kept labels";
+  EXPECT_EQ(after - before, 0u) << "a warm solve from kept labels must not touch the heap";
 }
 
 }  // namespace

@@ -9,7 +9,10 @@
 //   3. Seeding an Optimal instance from its own final K converges in one
 //      round with the same period.
 //   4. The MCRP warm start (McrpOptions::howard_warm_start): a cost-patched
-//      graph solved warm and cold yields identical MCRP results; a seed that
+//      graph solved warm and cold yields identical MCRP results, and kernel
+//      calls from kept labels match zero-label calls circuit for circuit
+//      through retimes, a splice, region checks and a reset; kept labels
+//      that drift into the i64 headroom go back to zero labels; a seed that
 //      is no longer a simple circuit of the new graph (ids out of range,
 //      arcs that no longer chain, a node visited twice) is dropped; a seed
 //      turned infeasible by an H edit is the Infeasible witness; after
@@ -159,39 +162,121 @@ TEST(WarmStart, SeededFromFinalKConvergesInOneRound) {
 
 // ---- 4. MCRP warm start through the exact oracle ----------------------------
 
+/// Expects two MCRP results to agree on everything a caller reads.
+void expect_same_result(const McrpResult& a, const McrpResult& b, const std::string& context) {
+  EXPECT_EQ(a.status, b.status) << context;
+  EXPECT_EQ(a.ratio, b.ratio) << context;
+  EXPECT_EQ(a.critical_cycle, b.critical_cycle) << context;
+  EXPECT_EQ(a.iterations, b.iterations) << context;
+  EXPECT_EQ(a.exact_iterations, b.exact_iterations) << context;
+}
+
 TEST(WarmStart, McrpWarmStartMatchesColdThroughCostPatches) {
   // A cost-patched constraint graph is exactly the warm-start situation the
-  // DSE sweep produces; replay one here against the exact oracle.
+  // DSE sweep produces; replay one here against the exact oracle. A twin
+  // warm scratch drops its kept labels before every call, so each of its
+  // kernel calls starts from zero labels: kept labels must change nothing,
+  // down to the circuit and both iteration counts. The sweep also retimes
+  // arcs (λ's denominator and M move), splices in a new arc list over the
+  // same nodes, checks has_positive_cycle between solves, and resets both
+  // scratches midway.
   const CsdfGraph g = gcd_ring(16);
   const RepetitionVector rv = compute_repetition_vector(g);
   const std::vector<i64> k{1, 16, 16};
-  ConstraintGraph cg = build_constraint_graph(g, rv, k);
+  BivaluedGraph graph = build_constraint_graph(g, rv, k).graph;
 
   McrpScratch warm_scratch;
+  McrpScratch twin_scratch;
   McrpResult warm;
+  McrpResult twin;
   McrpOptions warm_options;
   warm_options.howard_warm_start = true;
   McrpOptions cold_options = warm_options;
   cold_options.howard_warm_start = false;
 
+  McrpScratch cold_scratch;
   Rng rng(99);
-  for (int step = 0; step < 30; ++step) {
+  i128 last_den = 1;
+  int den_moves = 0;
+  int checks = 0;
+  for (int step = 0; step < 60; ++step) {
+    const std::string context = "step " + std::to_string(step);
+    const std::uint64_t kept_before = warm_scratch.kept_starts;
+    if (step == 20) {
+      // A splice that keeps the node count: a new arc list, with parallel
+      // copies of the first two arcs appended, and nothing else changed.
+      BivaluedGraph spliced(graph.node_count());
+      spliced.append_arcs_shifted(graph, 0, graph.arc_count(), 0, 0);
+      spliced.append_arcs_shifted(graph, 0, 2, 0, 0);
+      graph = std::move(spliced);
+    }
+    if (step == 40) {
+      warm_scratch.reset_warm_start();
+      twin_scratch.reset_warm_start();
+    }
     // Patch a handful of L payloads in place (H untouched — the only
     // mutation the layout stamp lets warm reuse see through).
-    for (int edit = 0; edit < 4; ++edit) {
-      const auto arc = static_cast<std::int32_t>(rng.uniform(0, cg.graph.arc_count() - 1));
-      cg.graph.set_cost(arc, rng.uniform(0, 50));
+    for (int edit = 0; step != 20 && edit < 4; ++edit) {
+      const auto arc = static_cast<std::int32_t>(rng.uniform(0, graph.arc_count() - 1));
+      graph.set_cost(arc, rng.uniform(0, 50));
     }
-    solve_max_cycle_ratio(cg.graph, warm_options, warm_scratch, warm);
+    const bool retime = step > 20 && step % 4 == 3;
+    if (retime) {
+      // Lengthen one arc's H by 1/d: no circuit turns infeasible, and the
+      // new denominator moves M, λ's denominator or both.
+      const auto arc = static_cast<std::int32_t>(rng.uniform(0, graph.arc_count() - 1));
+      const i64 d = std::vector<i64>{2, 3, 5, 7}[static_cast<std::size_t>(rng.uniform(0, 3))];
+      graph.set_time(arc, graph.time(arc) + Rational::of(1, d));
+    }
+    twin_scratch.kept64.clear();
+    solve_max_cycle_ratio(graph, warm_options, warm_scratch, warm);
+    solve_max_cycle_ratio(graph, warm_options, twin_scratch, twin);
+    expect_same_result(warm, twin, context);
+    if (step == 20) {
+      EXPECT_GT(warm_scratch.kept_starts, kept_before) << "the splice must keep the labels";
+    }
+    if (step == 40) {
+      EXPECT_EQ(warm_scratch.kept_starts, kept_before) << "the reset must drop the labels";
+    }
 
-    McrpScratch cold_scratch;
     McrpResult cold;
-    solve_max_cycle_ratio(cg.graph, cold_options, cold_scratch, cold);
-
-    const std::string context = "step " + std::to_string(step);
+    solve_max_cycle_ratio(graph, cold_options, cold_scratch, cold);
     EXPECT_EQ(warm.status, cold.status) << context;
     EXPECT_EQ(warm.ratio, cold.ratio) << context;
+
+    if (warm.status != McrpStatus::Optimal || warm.ratio.is_zero()) continue;
+    if (retime && warm.ratio.den() != last_den) ++den_moves;
+    last_den = warm.ratio.den();
+    // Region-style checks between solves: a "no" at λ* and a "yes" just
+    // below it, from kept labels on one scratch and zero on the other.
+    for (const Rational& lambda : {warm.ratio, warm.ratio * Rational::of(99, 100)}) {
+      twin_scratch.kept64.clear();
+      const bool warm_answer = has_positive_cycle(graph, graph.costs(), lambda, warm_scratch);
+      const bool twin_answer = has_positive_cycle(graph, graph.costs(), lambda, twin_scratch);
+      EXPECT_EQ(warm_answer, lambda != warm.ratio) << context;
+      EXPECT_EQ(warm_answer, twin_answer) << context;
+      EXPECT_EQ(warm_scratch.bf_cycle, twin_scratch.bf_cycle) << context;
+      ++checks;
+    }
   }
+  EXPECT_GE(den_moves, 3) << "the retimes must move λ's denominator";
+  EXPECT_GE(checks, 80);
+  // The kept-label path must actually run: calls from kept labels, and
+  // "yes" answers from them re-run from zero labels.
+  EXPECT_GE(warm_scratch.kept_starts, 60u);
+  EXPECT_GE(warm_scratch.kept_reruns, 3u);
+  EXPECT_EQ(cold_scratch.kept_starts, 0u) << "a cold solve starts every call from zero labels";
+
+  // A cold solve keeps no labels and drops those a warm solve kept, so the
+  // warm solve after it starts from zero; the one after that does not.
+  McrpScratch mixed;
+  McrpResult r;
+  solve_max_cycle_ratio(graph, warm_options, mixed, r);
+  solve_max_cycle_ratio(graph, cold_options, mixed, r);
+  solve_max_cycle_ratio(graph, warm_options, mixed, r);
+  EXPECT_EQ(mixed.kept_starts, 0u);
+  solve_max_cycle_ratio(graph, warm_options, mixed, r);
+  EXPECT_GT(mixed.kept_starts, 0u);
 }
 
 /// A graph given as (src, dst, L, H) arcs.
@@ -447,6 +532,89 @@ TEST(WarmStart, WarmSolveAfterSetTimeKeepsADividingScale) {
   EXPECT_EQ(scratch.time_scale, 15) << "5 does not divide M: M must be re-derived";
   EXPECT_FALSE(has_positive_cycle(g, g.costs(), r.ratio, scratch));
   EXPECT_TRUE(has_positive_cycle(g, g.costs(), Rational::of(13, 2), scratch));
+}
+
+TEST(WarmStart, KeptLabelsDriftUntilTheBoundSendsThemBack) {
+  // Every circuit of this 4-node graph runs through arc 3→0, the only one
+  // with H ≠ 0 (H = 1): every ratio, and so q·M, is an integer, and each
+  // warm call may start from the labels the previous one kept. The costs
+  // sit near the i64 per-call bound B <= INT64_MAX/6. Arc 0→2 rises above
+  // and falls below the value that makes 0→2→3→0 beat the ring
+  // 0→1→2→3→0, so the critical circuit flips, and the kept labels drift
+  // upward until max|d0| + 5·B <= INT64_MAX fails and a call starts from
+  // zero labels again. A twin scratch that drops its kept labels before
+  // every solve must agree on every result (under UBSan this also checks
+  // the warm label sums for overflow).
+  const i64 x = INT64_MAX / 40;
+  BivaluedGraph g = make_bivalued(4, {{0, 1, x, Rational{0}},
+                                      {1, 2, x, Rational{0}},
+                                      {2, 3, x, Rational{0}},
+                                      {3, 0, x, Rational{1}},
+                                      {0, 2, x, Rational{0}},
+                                      {1, 3, x, Rational{0}}});
+  McrpOptions warm;
+  warm.howard_warm_start = true;
+  McrpScratch scratch;
+  McrpScratch twin_scratch;
+  McrpResult r;
+  McrpResult twin;
+  Rng rng(5);
+  for (int step = 0; step < 1200; ++step) {
+    // Above 2x, 0→2→3→0 weighs more than the ring's 4x.
+    const i64 chord = step % 2 == 0 ? 2 * x + rng.uniform(1, x / 8) : x + rng.uniform(0, x / 2);
+    g.set_cost(4, chord);
+    solve_max_cycle_ratio(g, warm, scratch, r);
+    twin_scratch.kept64.clear();
+    solve_max_cycle_ratio(g, warm, twin_scratch, twin);
+    const std::string context = "step " + std::to_string(step);
+    ASSERT_EQ(r.status, McrpStatus::Optimal) << context;
+    EXPECT_EQ(r.ratio, Rational{std::max(4 * x, chord + 2 * x)}) << context;
+    expect_same_result(r, twin, context);
+  }
+  EXPECT_GE(scratch.kept_starts, 1200u);
+  EXPECT_GE(scratch.kept_reruns, 600u);
+  EXPECT_GE(scratch.kept_bound_resets, 1u) << "the labels must drift into the bound";
+}
+
+TEST(WarmStart, KeptLabelsUseTheWholeWarmHeadroom) {
+  // A bidirected path 0⇄1⇄…⇄5 whose forward arcs weigh +x and backward arcs
+  // -x, or the reverse: every 2-cycle weighs 0, and flipping the signs
+  // between region-style checks (λ = 0, so W = L) lifts every kept label by
+  // 5x, the most a call from kept labels can add (n-1 arcs of weight B = x).
+  // x is chosen so that some kept peak lands in the last 3x of the warm
+  // headroom, where only the (n+1)·B rule sends the call back to zero
+  // labels: under UBSan a looser rule overflows a label sum here.
+  constexpr std::int32_t n = 6;
+  const i64 x = static_cast<i64>(INT64_MAX / 24.5);
+  BivaluedGraph g(n);
+  for (std::int32_t v = 0; v + 1 < n; ++v) {
+    g.add_arc(v, v + 1, 0, Rational{0});
+    g.add_arc(v + 1, v, 0, Rational{1});
+  }
+  std::vector<i64> costs(static_cast<std::size_t>(g.arc_count()));
+  McrpScratch scratch;
+  McrpScratch twin_scratch;
+  i64 highest = 0;
+  for (int call = 0; call < 200; ++call) {
+    const i64 sign = call % 2 == 0 ? 1 : -1;
+    for (std::size_t a = 0; a < costs.size(); ++a) costs[a] = a % 2 == 0 ? sign * x : -sign * x;
+    // Every seventh check closes one positive 2-cycle: a "yes".
+    const bool positive = call % 7 == 6;
+    if (positive) costs[4] = -costs[5] + 1;
+    twin_scratch.kept64.clear();
+    const bool answer = has_positive_cycle(g, costs, Rational{0}, scratch);
+    const std::string context = "call " + std::to_string(call);
+    EXPECT_EQ(answer, positive) << context;
+    EXPECT_EQ(has_positive_cycle(g, costs, Rational{0}, twin_scratch), answer) << context;
+    EXPECT_EQ(scratch.bf_cycle, twin_scratch.bf_cycle) << context;
+    if (!scratch.kept64.empty()) {
+      highest = std::max(highest, *std::max_element(scratch.kept64.begin(), scratch.kept64.end()));
+    }
+  }
+  EXPECT_GT(highest, INT64_MAX - 5 * x) << "the kept labels must reach the headroom's end";
+  EXPECT_GE(scratch.kept_starts, 100u);
+  EXPECT_GE(scratch.kept_reruns, 10u);
+  EXPECT_GE(scratch.kept_bound_resets, 20u);
 }
 
 // ---- 5. service warm-state lifecycle ----------------------------------------
