@@ -56,8 +56,8 @@ BENCHMARK(BM_ExactCold)->Arg(50)->Arg(200)->Arg(800);
 /// seeded with the other's critical circuit and reusing its cyclic core.
 void solve_warm_pair(benchmark::State& state, const BivaluedGraph& a) {
   // A copy keeps the stamps `a` has minted (stamps are minted on first
-  // query), and set_cost preserves them.
-  (void)a.layout_stamp();
+  // query), and set_cost preserves the topology stamp.
+  (void)a.payload_stamp();
   (void)a.topology_stamp();
   BivaluedGraph b = a;
   Rng rng(7);

@@ -92,7 +92,7 @@ int main() {
     const KIterRound& round = r.trace[i];
     std::string k = "[";
     for (std::size_t j = 0; j < round.k.size(); ++j) {
-      k += (j ? "," : "") + std::to_string(round.k[j]);
+      k.append(j ? "," : "").append(std::to_string(round.k[j]));
     }
     k += "]";
     trace.row({std::to_string(i + 1), k, std::to_string(round.constraint_nodes),

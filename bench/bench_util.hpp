@@ -42,16 +42,16 @@ inline CsdfGraph gcd_chain(std::int32_t tasks, i64 g) {
   std::vector<TaskId> t;
   t.push_back(out.add_task("t0", 3));
   for (std::int32_t i = 1; i < tasks; ++i) {
-    t.push_back(out.add_task("t" + std::to_string(i), 1 + i % 3));
+    t.push_back(out.add_task(std::string("t").append(std::to_string(i)), 1 + i % 3));
   }
   out.add_buffer("b0", t[0], t[1], g, 1, 0);
   for (std::int32_t i = 1; i + 1 < tasks; ++i) {
-    out.add_buffer("b" + std::to_string(i), t[static_cast<std::size_t>(i)],
+    out.add_buffer(std::string("b").append(std::to_string(i)), t[static_cast<std::size_t>(i)],
                    t[static_cast<std::size_t>(i) + 1], 1, 1, 0);
   }
   out.add_buffer("back", t.back(), t[0], 1, g, g);
   for (std::int32_t i = 1; i < tasks; ++i) {
-    out.add_buffer("s" + std::to_string(i), t[static_cast<std::size_t>(i)],
+    out.add_buffer(std::string("s").append(std::to_string(i)), t[static_cast<std::size_t>(i)],
                    t[static_cast<std::size_t>(i)], 1, 1, 1);
   }
   return out;

@@ -364,8 +364,9 @@ bool emit_touched_aside(const CsdfGraph& g, const RepetitionVector& rv, const Bu
 /// span's arc count and endpoints, arc for arc, copies the aside L and H
 /// payloads over the live span and rewrites L over the untouched spans of
 /// producers whose durations moved. Node maps, spans, endpoints and the
-/// CSR stay as they are; the topology stamp survives, and the layout stamp
-/// moves only if some H did (set_time is skipped where H is unchanged).
+/// CSR stay as they are; the topology stamp survives, and the graph's edit
+/// log names only the arcs whose L or H moved (set_cost ignores an
+/// unchanged cost, and set_time is skipped where H is unchanged).
 /// Returns false, having written nothing, when some touched span changed
 /// shape.
 bool rewrite_in_place(const CsdfGraph& g, const BufferSeq& bufs, ConstraintGraph& cg,

@@ -24,7 +24,7 @@ std::string CriticalCycleCert::describe(const CsdfGraph& g) const {
     first = false;
     if (c.count != 1) out += std::to_string(c.count) + "·";
     out += "d(" + g.task(c.task).name;
-    if (g.phases(c.task) > 1) out += "," + std::to_string(c.phase);
+    if (g.phases(c.task) > 1) out.append(",").append(std::to_string(c.phase));
     out += ")";
   }
   out += ") / " + cycle_time.to_string();

@@ -89,7 +89,7 @@ struct CriticalCycleCert {
 /// the cert was extracted from, with L payloads at ray parameter
 /// `s_anchor`, and its layout must stay untouched while the certifier is
 /// queried (the positive-cycle checks reuse the anchor solve's cyclic core
-/// via the layout stamp). Queries additionally assume every probed sample
+/// via the topology stamp). Queries additionally assume every probed sample
 /// has nonnegative durations on the ray — infer_exec_time_ray guarantees
 /// this for service sweeps.
 class RegionCertifier {

@@ -45,7 +45,7 @@ CsdfGraph modem() {
   std::vector<TaskId> t;
   const i64 durations[16] = {2, 3, 5, 4, 3, 2, 6, 3, 2, 4, 5, 3, 2, 3, 4, 2};
   for (int i = 0; i < 16; ++i) {
-    t.push_back(g.add_task("m" + std::to_string(i), durations[i]));
+    t.push_back(g.add_task(std::string("m").append(std::to_string(i)), durations[i]));
   }
   for (int i = 0; i + 1 < 16; ++i) {
     if (i == 7) {
@@ -70,8 +70,8 @@ CsdfGraph satellite_receiver() {
   std::vector<TaskId> front_i;
   std::vector<TaskId> front_q;
   for (int i = 0; i < 9; ++i) {
-    front_i.push_back(g.add_task("i" + std::to_string(i), 2 + (i % 3)));
-    front_q.push_back(g.add_task("q" + std::to_string(i), 2 + (i % 4)));
+    front_i.push_back(g.add_task(std::string("i").append(std::to_string(i)), 2 + (i % 3)));
+    front_q.push_back(g.add_task(std::string("q").append(std::to_string(i)), 2 + (i % 4)));
   }
   const TaskId merge = g.add_task("merge", 5);
   const TaskId demod = g.add_task("demod", 7);
@@ -159,7 +159,7 @@ std::vector<NamedGraph> make_lg_transient(u64 seed, int count) {
     const auto n = static_cast<std::int32_t>(rng.uniform(181, 300));
     CsdfGraph g("lgtransient" + std::to_string(i));
     for (std::int32_t t = 0; t < n; ++t) {
-      g.add_task("t" + std::to_string(t), rng.uniform(1, 20));
+      g.add_task(std::string("t").append(std::to_string(t)), rng.uniform(1, 20));
     }
     // A big ring with all its tokens piled on one arc: the self-timed wave
     // needs many iterations to spread into the steady-state distribution.

@@ -29,7 +29,7 @@ CsdfGraph random_csdf(Rng& rng, const RandomCsdfOptions& options) {
         static_cast<std::int32_t>(rng.uniform(1, options.max_phases));
     std::vector<i64> durations(static_cast<std::size_t>(phases));
     for (auto& d : durations) d = rng.uniform(options.min_duration, options.max_duration);
-    g.add_task("t" + std::to_string(t), std::move(durations));
+    g.add_task(std::string("t").append(std::to_string(t)), std::move(durations));
     q[static_cast<std::size_t>(t)] = rng.uniform(1, options.max_q);
   }
 

@@ -1,6 +1,7 @@
 #include "mcrp/cycle_ratio.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "graph/csr.hpp"
 #include "graph/scc.hpp"
@@ -26,12 +27,12 @@ class RingQueue {
 
   void push(std::int32_t v) noexcept {
     buf_[tail_] = v;
-    tail_ = (tail_ + 1) % cap_;
+    if (++tail_ == cap_) tail_ = 0;
   }
 
   std::int32_t pop() noexcept {
     const std::int32_t v = buf_[head_];
-    head_ = (head_ + 1) % cap_;
+    if (++head_ == cap_) head_ = 0;
     return v;
   }
 
@@ -143,13 +144,22 @@ bool positive_cycle(std::int32_t n, McrpScratch& s, const std::vector<Label>& w,
   return false;
 }
 
+/// |l| as an unsigned magnitude (exact for INT64_MIN too).
+u64 magnitude(i64 l) noexcept { return l < 0 ? u64{0} - static_cast<u64>(l) : static_cast<u64>(l); }
+
+/// max|l| over `costs` (0 when empty).
+u64 max_magnitude(std::span<const i64> costs) noexcept {
+  u64 max_cost = 0;
+  for (const i64 l : costs) max_cost = std::max(max_cost, magnitude(l));
+  return max_cost;
+}
+
 /// max|L(e)| over the scratch's cyclic core (0 when `costs` is empty).
 i128 max_cyclic_cost(std::span<const i64> costs, const McrpScratch& s) {
   if (costs.empty()) return 0;
   u64 max_cost = 0;
   for (const ArcRef& a : s.cyclic) {
-    const i64 l = costs[static_cast<std::size_t>(a.id)];
-    max_cost = std::max(max_cost, l < 0 ? u64{0} - static_cast<u64>(l) : static_cast<u64>(l));
+    max_cost = std::max(max_cost, magnitude(costs[static_cast<std::size_t>(a.id)]));
   }
   return max_cost;
 }
@@ -174,30 +184,34 @@ bool start_from_kept(std::int32_t n, i128 qm, i128 bound, McrpScratch& s) {
 
 /// True iff some circuit of the cyclic core is positive under
 /// w(e) = L(e) - λ·H(e), where L(e) = costs[e], or L ≡ 0 when `costs` is
-/// empty; one such circuit is left in scratch.bf_cycle. `max_cost` caches
-/// max_cyclic_cost(costs, s) across the calls of one solve (negative: not
-/// computed yet). For λ = p/q the kernel runs on
-/// W(e) = L(e)·q·M - p·T(e) = (q·M)·w(e), at the narrowest width whose n+2
-/// headroom holds every W: i64 when the per-call bound
+/// empty; one such circuit is left in scratch.bf_cycle. For λ = p/q the
+/// kernel runs on W(e) = L(e)·q·M - p·T(e) = (q·M)·w(e), at the narrowest
+/// width whose n+2 headroom holds every W: i64 when the per-call bound
 /// max|L|·q·M + |p|·max|T| <= INT64_MAX/(n+2) holds, else i128 when each W
-/// passes its check, else Rational (also when the layout has no scale M).
-/// max|L| is only computed when the time term alone leaves room. The width
-/// and q·M are recorded in the scratch (label_width, label_scale).
+/// passes its check, else Rational (also when the core has no scale M).
+/// max|L| is the scratch's when `costs` is bg.costs(); for other costs it
+/// is only computed when the time term alone leaves room. The width and
+/// q·M are recorded in the scratch (label_width, label_scale).
 ///
 /// Under `reuse` an i64 call starts from the kept labels when
 /// start_from_kept admits them, queueing the source of every arc they
 /// violate; a "yes" from them is re-run from zero labels, so the circuit is
-/// the zero-start one. An i64 "no" under `reuse` keeps its labels.
-bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs, i128& max_cost,
+/// the zero-start one. An i64 "no" under `reuse` keeps its labels. On
+/// bg.costs(), the weights and the kept-label test follow the payload
+/// delta when their keys allow (see the header comment); other costs drop
+/// the weights' key.
+bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs,
                        const Rational& lambda, McrpScratch& s, bool reuse) {
   const std::int32_t n = bg.node_count();
   const std::size_t m = s.cyclic.size();
+  const bool graph_costs = !costs.empty() && costs.data() == bg.costs().data();
   if (s.time_scale != 0) {
     const i64 limit64 = INT64_MAX / (i64{n} + 2);
     i128 qm = 0;
     i128 time_term = 0;
     i128 cost_term = 0;
     i128 bound = 0;
+    i128 max_cost = graph_costs ? s.max_cost : costs.empty() ? 0 : -1;
     const bool time_fits = try_mul(lambda.den(), s.time_scale, qm) &&
                            try_mul(abs128(lambda.num()), s.max_scaled_time, time_term) &&
                            time_term <= limit64;
@@ -209,17 +223,71 @@ bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs, i128
       const auto qm64 = static_cast<i64>(qm);
       const auto p64 = static_cast<i64>(lambda.num());
       const bool seeded = reuse && start_from_kept(n, qm, bound, s);
-      s.weights64.resize(m);
-      for (std::size_t i = 0; i < m; ++i) {
+      // The graph's own costs are read from their mirror over the core.
+      auto weight = [&](std::size_t i) {
+        const i64 l = graph_costs    ? s.cost_from[i]
+                      : costs.empty() ? 0
+                                      : costs[static_cast<std::size_t>(s.cyclic[i].id)];
+        return l * qm64 - p64 * static_cast<i64>(s.scaled_time[i]);
+      };
+      auto test = [&](std::size_t i, i64 w) {
         const ArcRef& a = s.cyclic[i];
-        const i64 l = costs.empty() ? 0 : costs[static_cast<std::size_t>(a.id)];
-        const i64 w = l * qm64 - p64 * static_cast<i64>(s.scaled_time[i]);
-        s.weights64[i] = w;
-        if (seeded && s.dist64[static_cast<std::size_t>(a.src)] + w >
-                          s.dist64[static_cast<std::size_t>(a.dst)]) {
+        if (s.dist64[static_cast<std::size_t>(a.src)] + w > s.dist64[static_cast<std::size_t>(a.dst)]) {
           s.queued[static_cast<std::size_t>(a.src)] = 1;
         }
+      };
+      // What is stale in weights64 at this p and q·M: every arc, the arcs
+      // `delta` lists (keyed at the payload state it leads from), or none
+      // (keyed at the synced state). Kept labels that are a "no" of
+      // weights64 can then be violated only by the arcs it recomputes.
+      enum Stale { kAll, kDelta, kNone };
+      Stale weights = kAll;
+      if (graph_costs && s.weights_payload != 0 && s.weights_num == lambda.num() &&
+          s.weights_qm == qm) {
+        if (s.weights_payload == s.warm_payload) {
+          weights = kNone;
+        } else if (s.delta_base != 0 && s.weights_payload == s.delta_base) {
+          weights = kDelta;
+        }
       }
+      const bool test_delta = seeded && s.kept_fit_weights && weights != kAll;
+      const bool test_all = seeded && !test_delta;
+      if (weights == kAll) {
+        s.weights64.resize(m);
+        for (std::size_t i = 0; i < m; ++i) {
+          const i64 w = weight(i);
+          s.weights64[i] = w;
+          if (test_all) test(i, w);
+        }
+      } else {
+        ++s.delta_calls;
+        if (weights == kDelta) {
+          for (const std::int32_t i : s.delta) {
+            s.weights64[static_cast<std::size_t>(i)] = weight(static_cast<std::size_t>(i));
+          }
+        }
+        for (std::size_t i = 0; test_all && i < m; ++i) test(i, s.weights64[i]);
+      }
+      if (test_delta && weights == kDelta) {
+        for (const std::int32_t i : s.delta) {
+          test(static_cast<std::size_t>(i), s.weights64[static_cast<std::size_t>(i)]);
+        }
+      }
+#ifndef NDEBUG
+      // The delta invariant: every kept weight equals its recomputation,
+      // and kept labels tested on the delta alone (or not at all) leave no
+      // violated arc's source unqueued.
+      for (std::size_t i = 0; weights != kAll && i < m; ++i) {
+        assert(s.weights64[i] == weight(i));
+        const ArcRef& a = s.cyclic[i];
+        assert(!test_delta || s.queued[static_cast<std::size_t>(a.src)] != 0 ||
+               !(s.dist64[static_cast<std::size_t>(a.src)] + s.weights64[i] >
+                 s.dist64[static_cast<std::size_t>(a.dst)]));
+      }
+#endif
+      s.weights_num = lambda.num();
+      s.weights_qm = qm;
+      s.weights_payload = graph_costs ? s.warm_payload : 0;
       s.label_width = McrpScratch::LabelWidth::I64;
       s.label_scale = qm;
       bool found = positive_cycle(n, s, s.weights64, s.dist64, seeded);
@@ -230,6 +298,9 @@ bool positive_cycle_at(const BivaluedGraph& bg, std::span<const i64> costs, i128
       if (reuse && !found) {
         s.kept64.assign(s.dist64.begin(), s.dist64.end());
         s.kept_scale = qm;
+        s.kept_fit_weights = true;
+      } else if (weights != kNone) {
+        s.kept_fit_weights = false;
       }
       return found;
     }
@@ -271,30 +342,46 @@ bool is_infeasible_circuit(i64 cost, const Rational& time) {
   return time.sign() < 0 || (time.is_zero() && cost > 0);
 }
 
-/// (Re)derives the scratch's SCC-restricted cyclic core and its CSR
-/// adjacency for `bg` (whose Digraph must be finalized), recording the
-/// topology key so a later topology-matching solve or positive-cycle check
-/// keeps them. With `every_arc` the core is the whole graph and no SCC pass
-/// runs (the potentials pass). The scaled H is left stale:
-/// scale_cyclic_times follows, and re-derives M.
+/// Drops the payload keys: the next i64 call recomputes every weight and
+/// tests every arc against the kept labels (which stay usable as start
+/// labels).
+void drop_payload_keys(McrpScratch& s) noexcept {
+  s.weights_payload = 0;
+  s.delta_base = 0;
+}
+
+/// (Re)derives the scratch's SCC-restricted cyclic core, the arc-to-core
+/// index, the core's CSR adjacency and its mirrored L with max|L| for `bg`
+/// (whose Digraph must be finalized), recording the topology key so a
+/// later topology-matching solve or positive-cycle check keeps them. With
+/// `every_arc` the core is the whole graph and no SCC pass runs (the
+/// potentials pass). The scaled H is left stale: scale_cyclic_times
+/// follows, and drops the payload keys.
 void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch, bool every_arc) {
   const Digraph& g = bg.graph();
   const std::int32_t n = g.node_count();
   scratch.warm_topology = 0;
-  scratch.warm_stamp = 0;
   // Circuits live inside strongly connected components; restrict the
   // cycle search to arcs whose endpoints share an SCC.
   if (!every_arc) strongly_connected_components(g, scratch.scc, scratch.scc_result);
   const SccResult& scc = scratch.scc_result;
   scratch.cyclic.clear();
+  scratch.cost_from.clear();
+  scratch.cyclic_index.resize(static_cast<std::size_t>(g.arc_count()));
   const std::span<const Digraph::Arc> all_arcs = g.arcs();
+  const std::span<const i64> costs = bg.costs();
   for (std::int32_t a = 0; a < g.arc_count(); ++a) {
     const auto& e = all_arcs[static_cast<std::size_t>(a)];
-    if (every_arc || scc.component_of[static_cast<std::size_t>(e.src)] ==
-                         scc.component_of[static_cast<std::size_t>(e.dst)]) {
+    const bool in_core = every_arc || scc.component_of[static_cast<std::size_t>(e.src)] ==
+                                          scc.component_of[static_cast<std::size_t>(e.dst)];
+    scratch.cyclic_index[static_cast<std::size_t>(a)] =
+        in_core ? static_cast<std::int32_t>(scratch.cyclic.size()) : -1;
+    if (in_core) {
       scratch.cyclic.push_back(ArcRef{a, e.src, e.dst});
+      scratch.cost_from.push_back(costs[static_cast<std::size_t>(a)]);
     }
   }
+  scratch.max_cost = max_magnitude(scratch.cost_from);
   if (!scratch.cyclic.empty()) {
     build_csr_index(n, scratch.cyclic, [](const ArcRef& a) { return a.src; },
                     scratch.out_offsets, scratch.out_ids, scratch.cursor);
@@ -304,42 +391,41 @@ void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch, bool ever
   scratch.warm_arcs = g.arc_count();
 }
 
+/// Scales cyclic arc i's T(e) from its H `h` under the scratch's M: a new
+/// denominator (or, with `fresh`, every one) gets the factor M/den, false
+/// when it does not divide M; then T(e) = num·factor, false on overflow.
+bool rescale_arc(std::size_t i, const Rational& h, McrpScratch& s, bool fresh) {
+  Rational& from = s.scaled_from[i];
+  if (fresh || h.den() != from.den()) {
+    if (!fresh && s.time_scale % h.den() != 0) return false;
+    s.scale_factor[i] = s.time_scale / h.den();
+  }
+  if (!try_mul(h.num(), s.scale_factor[i], s.scaled_time[i])) return false;
+  from = h;
+  return true;
+}
+
 /// Scales T(e) = num·(M/den) over the cyclic core under the scratch's M,
 /// with max|T(e)|. Unless `fresh` (every arc scaled anew), an arc whose H
-/// is the one it was scaled from keeps its T(e), one whose H kept its
-/// denominator costs one multiply by the kept factor M/den, and a new
-/// denominator that divides M gets a fresh factor. False (state partly
-/// rewritten) when some denominator does not divide M or some T(e)
-/// overflows: M must then be re-derived.
+/// is the one it was scaled from keeps its T(e), and the others go through
+/// rescale_arc. False (state partly rewritten) when some denominator does
+/// not divide M or some T(e) overflows: M must then be re-derived.
 bool rescale_cyclic_times(std::span<const Rational> times, McrpScratch& s, bool fresh) {
   i128 max_time = 0;
   for (std::size_t i = 0; i < s.cyclic.size(); ++i) {
     const Rational& h = times[static_cast<std::size_t>(s.cyclic[i].id)];
-    Rational& from = s.scaled_from[i];
-    if (fresh || h != from) {
-      if (fresh || h.den() != from.den()) {
-        if (!fresh && s.time_scale % h.den() != 0) return false;
-        s.scale_factor[i] = s.time_scale / h.den();
-      }
-      if (!try_mul(h.num(), s.scale_factor[i], s.scaled_time[i])) return false;
-      from = h;
-    }
+    if ((fresh || h != s.scaled_from[i]) && !rescale_arc(i, h, s, fresh)) return false;
     max_time = std::max(max_time, abs128(s.scaled_time[i]));
   }
   s.max_scaled_time = max_time;
   return true;
 }
 
-/// Scales H over the scratch's cyclic core. With `keep_scale` (same
-/// topology as the scale was derived on) the kept M is tried first;
-/// otherwise, or when it does not cover the current denominators, M is
-/// re-derived as their lcm, or set to 0 (no integer path) when M or some
-/// T(e) overflows. Records the layout key so a later layout-matching call
-/// keeps the result.
-void scale_cyclic_times(const BivaluedGraph& bg, McrpScratch& s, bool keep_scale) {
-  const std::span<const Rational> times = bg.times();
-  s.warm_stamp = bg.layout_stamp();
-  if (keep_scale && s.time_scale != 0 && rescale_cyclic_times(times, s, false)) return;
+/// Derives M afresh as the lcm of the cyclic H denominators and scales
+/// every T(e) under it, or sets M to 0 (no integer path) when M or some
+/// T(e) overflows. Every T(e) may move, so the payload keys are dropped.
+void scale_cyclic_times(std::span<const Rational> times, McrpScratch& s) {
+  drop_payload_keys(s);
   const std::size_t m = s.cyclic.size();
   s.scaled_time.resize(m);
   s.scaled_from.resize(m);
@@ -358,21 +444,96 @@ void scale_cyclic_times(const BivaluedGraph& bg, McrpScratch& s, bool keep_scale
   if (!rescale_cyclic_times(times, s, true)) s.time_scale = 0;
 }
 
-/// Brings the scratch's cyclic core, its CSR and its scaled H up to date
-/// for `bg`. With `reuse`, the core and CSR are kept when the scratch
-/// derived them from a graph of this topology (same arc list; payloads
-/// free), and the scaled H is kept when the layout stamp matches too (same
-/// H; only L may have moved), or else rescaled under the kept M. Without it
-/// everything is derived afresh and the kept labels are dropped, so every
-/// kernel call of a cold solve starts from zero labels.
-void prepare_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch, bool reuse) {
-  if (!reuse) scratch.kept64.clear();
-  const bool same_topology = reuse && scratch.warm_topology != 0 &&
-                             scratch.warm_topology == bg.topology_stamp() &&
-                             scratch.warm_nodes == bg.graph().node_count() &&
-                             scratch.warm_arcs == bg.graph().arc_count();
-  if (!same_topology) derive_cyclic_core(bg, scratch, false);
-  if (scratch.warm_stamp != bg.layout_stamp()) scale_cyclic_times(bg, scratch, same_topology);
+/// Mirrors the graph's L over the cyclic core into the scratch, with max|L|.
+void sync_cyclic_costs(std::span<const i64> costs, McrpScratch& s) {
+  for (std::size_t i = 0; i < s.cyclic.size(); ++i) {
+    s.cost_from[i] = costs[static_cast<std::size_t>(s.cyclic[i].id)];
+  }
+  s.max_cost = max_magnitude(s.cost_from);
+}
+
+/// Applies the logged edits `arcs` (arc ids, possibly repeated or off the
+/// core) to the scratch's mirrored L and scaled H under the kept M, keeping
+/// max|L| and max|T| exact (rescanned only when an edited arc held the
+/// maximum and fell), and lists each cyclic arc whose L or H moved in
+/// s.delta. False (state partly rewritten) when an H edit needs M
+/// re-derived: no integer M is kept, or rescale_arc refused.
+bool apply_edits(const BivaluedGraph& bg, std::span<const std::int32_t> arcs, McrpScratch& s) {
+  const std::span<const i64> costs = bg.costs();
+  const std::span<const Rational> times = bg.times();
+  // Folds an arc's move from |was| to |now| into the running maximum.
+  auto track = [](i128 was, i128 now, i128& max, bool& rescan) {
+    if (now >= max) {
+      max = now;
+    } else if (was == max) {
+      rescan = true;
+    }
+  };
+  bool rescan_cost = false;
+  bool rescan_time = false;
+  for (const std::int32_t id : arcs) {
+    const std::int32_t i = s.cyclic_index[static_cast<std::size_t>(id)];
+    if (i < 0) continue;
+    const auto ui = static_cast<std::size_t>(i);
+    bool moved = false;
+    const i64 l = costs[static_cast<std::size_t>(id)];
+    if (l != s.cost_from[ui]) {
+      track(magnitude(s.cost_from[ui]), magnitude(l), s.max_cost, rescan_cost);
+      s.cost_from[ui] = l;
+      moved = true;
+    }
+    const Rational& h = times[static_cast<std::size_t>(id)];
+    if (h != s.scaled_from[ui]) {
+      const i128 was = abs128(s.scaled_time[ui]);
+      if (s.time_scale == 0 || !rescale_arc(ui, h, s, false)) return false;
+      track(was, abs128(s.scaled_time[ui]), s.max_scaled_time, rescan_time);
+      moved = true;
+    }
+    if (moved) s.delta.push_back(i);
+  }
+  if (rescan_cost) s.max_cost = max_magnitude(s.cost_from);
+  if (rescan_time) {
+    i128 max_time = 0;
+    for (const i128 t : s.scaled_time) max_time = std::max(max_time, abs128(t));
+    s.max_scaled_time = max_time;
+  }
+  return true;
+}
+
+/// Brings the scratch's cyclic core, its CSR, its scaled H and its mirrored
+/// L up to date for `bg`, and records bg's payload stamp. With `reuse`, the
+/// core and CSR are kept when the scratch derived them from a graph of this
+/// topology (same arc list; payloads free). The payload state then moves by
+/// the arcs bg's edit log names since the scratch's payload stamp, listed
+/// in scratch.delta; when the log cannot tell (or an edit needs M
+/// re-derived), every cyclic arc is re-read and the payload keys are
+/// dropped. Without
+/// `reuse` everything is derived afresh and the kept labels are dropped, so
+/// every kernel call of a cold solve starts from zero labels.
+void prepare_cyclic_core(const BivaluedGraph& bg, McrpScratch& s, bool reuse) {
+  if (!reuse) s.kept64.clear();
+  const bool same_topology = reuse && s.warm_topology != 0 &&
+                             s.warm_topology == bg.topology_stamp() &&
+                             s.warm_nodes == bg.graph().node_count() &&
+                             s.warm_arcs == bg.graph().arc_count();
+  const std::span<const Rational> times = bg.times();
+  s.delta.clear();
+  if (!same_topology) {
+    derive_cyclic_core(bg, s, false);
+    s.delta.reserve(s.cyclic.size());  // one entry per cyclic arc at most
+    scale_cyclic_times(times, s);
+  } else {
+    const auto edits = bg.edits_since(s.warm_payload);
+    s.delta_base = s.warm_payload;
+    if (!edits || !apply_edits(bg, *edits, s)) {
+      // Every cyclic arc re-read: the kept M where it still covers them
+      // (an edit apply_edits refused fails here too), else a fresh one.
+      drop_payload_keys(s);
+      if (s.time_scale == 0 || !rescale_cyclic_times(times, s, false)) scale_cyclic_times(times, s);
+      sync_cyclic_costs(bg.costs(), s);
+    }
+  }
+  s.warm_payload = bg.payload_stamp();
 }
 
 /// True when `arcs`, ids recorded on some earlier graph, form a simple
@@ -416,9 +577,9 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
 
   // The cyclic core and its CSR depend only on the topology, and its scaled
   // H on H as well: a warm solve keeps the former under a matching
-  // topology stamp and re-derives only M and T(e) when the layout stamp
-  // moved (set_time). Recorded unconditionally after a cold derivation so a
-  // later warm call can reuse it.
+  // topology stamp and updates the latter for the arcs the graph's edit log
+  // names. Recorded unconditionally after a cold derivation so a later warm
+  // call can reuse it.
   const bool warm = options.howard_warm_start;
   prepare_cyclic_core(bg, scratch, warm);
   auto& cyclic = scratch.cyclic;
@@ -447,8 +608,7 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   }
 
   if (!cyclic.empty()) {
-    i128 max_cost = -1;
-    while (positive_cycle_at(bg, costs, max_cost, lambda, scratch, warm)) {
+    while (positive_cycle_at(bg, costs, lambda, scratch, warm)) {
       const i64 lc = bg.cycle_cost(scratch.bf_cycle);
       const Rational hc = bg.cycle_time(scratch.bf_cycle);
       if (is_infeasible_circuit(lc, hc)) {
@@ -477,13 +637,12 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
     // critical circuit (weights +H: λ = -1) so callers can run the
     // optimality test.
     if (lambda.is_zero()) {
-      i128 no_cost = 0;
-      if (positive_cycle_at(bg, {}, no_cost, Rational{1}, scratch, warm)) {
+      if (positive_cycle_at(bg, {}, Rational{1}, scratch, warm)) {
         out.status = McrpStatus::Infeasible;
         out.critical_cycle.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
         return;
       }
-      if (critical.empty() && positive_cycle_at(bg, {}, no_cost, Rational{-1}, scratch, warm)) {
+      if (critical.empty() && positive_cycle_at(bg, {}, Rational{-1}, scratch, warm)) {
         critical.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
       }
     }
@@ -505,8 +664,7 @@ bool has_positive_cycle(const BivaluedGraph& bg, std::span<const i64> costs,
     throw SolverError("has_positive_cycle: one cost per arc required");
   }
   prepare_cyclic_core(bg, scratch, true);
-  i128 max_cost = -1;
-  return !scratch.cyclic.empty() && positive_cycle_at(bg, costs, max_cost, lambda, scratch, true);
+  return !scratch.cyclic.empty() && positive_cycle_at(bg, costs, lambda, scratch, true);
 }
 
 void compute_mcrp_potentials(const BivaluedGraph& bg, const Rational& lambda,
@@ -522,9 +680,8 @@ void compute_mcrp_potentials(const BivaluedGraph& bg, const Rational& lambda,
   // without reuse, on a scratch that holds no kept labels.
   McrpScratch s;
   derive_cyclic_core(bg, s, true);
-  scale_cyclic_times(bg, s, false);
-  i128 max_cost = -1;
-  if (positive_cycle_at(bg, bg.costs(), max_cost, lambda, s, false)) {
+  scale_cyclic_times(bg.times(), s);
+  if (positive_cycle_at(bg, bg.costs(), lambda, s, false)) {
     throw SolverError("potential relaxation did not converge (invariant breach)");
   }
   using enum McrpScratch::LabelWidth;

@@ -45,7 +45,7 @@
 //
 // The scale M is derived as the lcm of the cyclic H denominators and then
 // kept per denominator: the scratch remembers, per cyclic arc, the H it was
-// scaled from and M/den. A layout rewrite that keeps the topology
+// scaled from and M/den. A payload rewrite that keeps the topology
 // (BivaluedGraph::set_time) leaves an arc with unchanged H as it is,
 // re-multiplies one whose denominator stayed by its kept factor, and gives
 // a new denominator that divides M a fresh factor; only a denominator that
@@ -53,6 +53,27 @@
 // M. A kept M can exceed the lcm of the current denominators; every
 // comparison is homogeneous in M, so that changes no value or circuit — at
 // most it moves a call to a wider label width.
+//
+// Payload deltas: a BivaluedGraph logs the arcs set_cost and set_time
+// rewrite after each payload stamp (BivaluedGraph::edits_since), and the
+// scratch records the payload stamp it last brought its state up to. Under
+// a kept topology a warm call then pays for the arcs the edit touched:
+//   * only the edited cyclic arcs are rescaled, and max|T| and max|L| over
+//     the core follow from them (a rescan only when an edited arc held the
+//     maximum and fell);
+//   * an i64 call on the graph's own costs whose λ numerator p and q·M
+//     equal those its weights were computed at recomputes only the edited
+//     arcs' weights; when its kept labels are a "no" of exactly those
+//     weights, only the edited arcs' sources are tested against them. The
+//     kept labels satisfy every other arc, so the queued set is the one a
+//     full test finds.
+// Full passes stay where no delta applies: a new topology (SCC, CSR and a
+// fresh M), a log that cannot tell (every cyclic arc is then rescaled
+// under the kept M), a fresh M, the first call after λ moves (every weight
+// changes), has_positive_cycle checks on costs other than the graph's, and
+// the λ = 0 probes (L ≡ 0); the last two drop the weights' key. Values,
+// circuits, iteration counts and the kernel's arc scans are those of the
+// full passes, bit for bit.
 //
 // Termination: every improvement sets λ to the ratio of a distinct
 // elementary circuit and ratios strictly increase, so the loop is finite.
@@ -71,9 +92,8 @@
 // starts from it and, on neighbouring points of a parametric sweep, often
 // only confirms it. A seed that is an infeasibility witness is returned as
 // one. Under a matching topology stamp the solve also keeps the SCC pass's
-// result — the cyclic core — and its CSR; under a matching layout stamp it
-// keeps the scaled H (M and T(e)) too, and otherwise rescales T(e) under
-// the kept M (BivaluedGraph::topology_stamp / layout_stamp), and its i64
+// result — the cyclic core — and its CSR, brings the scaled H and its
+// weights up to date from the payload delta (see above), and its i64
 // kernel calls start from the kept labels. The loop still runs to
 // quiescence, so values are exact either way; only which co-critical
 // circuit is reported (and the iteration counts) can change, through the
@@ -121,22 +141,22 @@ struct McrpResult {
 };
 
 struct McrpOptions {
-  /// Reuse the cyclic core under matching stamps and seed from the
-  /// previous circuit. The cyclic core and its CSR adjacency are kept when
-  /// the graph's topology stamp matches the scratch's
+  /// Reuse the cyclic core under a matching topology stamp and seed from
+  /// the previous circuit. The cyclic core and its CSR adjacency are kept
+  /// when the graph's topology stamp matches the scratch's
   /// (BivaluedGraph::topology_stamp: same node count and arc list, payloads
   /// possibly rewritten via set_cost / set_time); the scaled H — M and
-  /// T(e) — is kept whole when the layout stamp matches as well (same H, L
-  /// possibly rewritten via set_cost), and otherwise only the rewritten
-  /// arcs are rescaled under the kept M (see the header comment). The
+  /// T(e) — and the kernel's weights are then updated for the arcs the
+  /// graph's edit log names since the scratch's payload stamp, or checked
+  /// arc by arc when the log cannot tell (see the header comment). The
   /// scratch's previous critical circuit seeds λ when its arc ids form a
   /// simple circuit of this graph, stamp or no stamp. Its i64 kernel calls
   /// start from the scratch's kept labels under the warm headroom rule, and
-  /// keep theirs on a "no" (see the header comment). Values are
-  /// unaffected — the exact improvement loop still runs to quiescence —
-  /// only iteration counts and which co-critical circuit is reported can
-  /// change, and only through the seed: kept labels change neither. Off by
-  /// default; the parametric-sweep service turns it on.
+  /// keep theirs on a "no". Values are unaffected — the exact improvement
+  /// loop still runs to quiescence — only iteration counts and which
+  /// co-critical circuit is reported can change, and only through the seed:
+  /// neither kept labels nor payload deltas change them. Off by default;
+  /// the parametric-sweep service turns it on.
   bool howard_warm_start = false;
 };
 
@@ -153,18 +173,24 @@ struct McrpScratch {
   SccResult scc_result;
 
   std::vector<ArcRef> cyclic;
+  // Per arc id of the graph the core was derived from: its index in
+  // `cyclic`, or -1 off the core. Maps the graph's edit log onto the core.
+  std::vector<std::int32_t> cyclic_index;
   // The scaled H. time_scale is M, a common multiple of the H denominators
-  // over the cyclic core (0 when M or some T(e) overflows i128: the layout
-  // then has no integer path), and max_scaled_time is max|T(e)|, the
+  // over the cyclic core (0 when M or some T(e) overflows i128: the graph's
+  // H then has no integer path), and max_scaled_time is max|T(e)|, the
   // per-call bound's input. Per cyclic arc: T(e) = H(e)·M, the H it was
   // scaled from and the factor M/den, which let a set_time under the same
-  // topology keep M (see the header comment). They belong to the layout
-  // key below: set_cost leaves them valid, set_time does not.
+  // topology keep M (see the header comment).
   std::vector<i128> scaled_time;
   std::vector<Rational> scaled_from;
   std::vector<i128> scale_factor;
   i128 time_scale = 0;
   i128 max_scaled_time = 0;
+  // The graph's L per cyclic arc and max|L| over the core, the other input
+  // of the per-call bound.
+  std::vector<i64> cost_from;
+  i128 max_cost = 0;
 
   // CSR adjacency over the cyclic core (indices into `cyclic`).
   std::vector<std::int32_t> out_offsets;
@@ -192,12 +218,27 @@ struct McrpScratch {
   // header comment).
   std::vector<i64> kept64;
   i128 kept_scale = 0;
+  // Payload keys (payload stamps; 0: none). warm_payload is the state the
+  // scratch last synced with, and `delta` lists the cyclic arcs whose L or
+  // H moved from state delta_base to it. weights64 holds the weights of
+  // the graph's own costs at λ numerator weights_num and q·M weights_qm as
+  // of state weights_payload; kept_fit_weights says the kept labels are a
+  // "no" of exactly those weights.
+  std::uint64_t warm_payload = 0;
+  std::vector<std::int32_t> delta;
+  std::uint64_t delta_base = 0;
+  i128 weights_num = 0;
+  i128 weights_qm = 0;
+  std::uint64_t weights_payload = 0;
+  bool kept_fit_weights = false;
   // Cumulative counts, never reset: calls started from kept labels, their
-  // "yes" answers re-run from zero labels, and calls the warm headroom rule
-  // sent back to zero labels.
+  // "yes" answers re-run from zero labels, calls the warm headroom rule
+  // sent back to zero labels, and i64 calls whose weights were kept or
+  // updated for the delta alone.
   std::uint64_t kept_starts = 0;
   std::uint64_t kept_reruns = 0;
   std::uint64_t kept_bound_resets = 0;
+  std::uint64_t delta_calls = 0;
   // Relaxation forest: parent arc (index into `cyclic`, -1 at a root) and
   // the preorder list (next/prev, circular through the virtual root n) with
   // each node's depth; -1 marks a node out of the forest.
@@ -216,11 +257,9 @@ struct McrpScratch {
   std::vector<std::int32_t> critical;
   std::vector<std::int8_t> seen;
 
-  // Warm-start keys for the structural state: the topology stamp and sizes
-  // of the graph `cyclic` and its CSR were derived from, and the layout
-  // stamp of the graph the scaled H was derived from. 0 = not reusable.
+  // Warm-start key for the structural state: the topology stamp and sizes
+  // of the graph `cyclic` and its CSR were derived from (0 = not reusable).
   std::uint64_t warm_topology = 0;
-  std::uint64_t warm_stamp = 0;
   std::int32_t warm_nodes = 0;
   std::int32_t warm_arcs = 0;
 
@@ -228,7 +267,6 @@ struct McrpScratch {
   /// first kernel call starts from zero labels.
   void reset_warm_start() noexcept {
     warm_topology = 0;
-    warm_stamp = 0;
     critical.clear();
     kept64.clear();
   }
@@ -249,11 +287,12 @@ void solve_max_cycle_ratio(const BivaluedGraph& g, const McrpOptions& options,
 /// on scaled i64 or i128 labels (Rational only on overflow) over the
 /// scratch's SCC-restricted cyclic core. Like a warm solve, it keeps the
 /// core and its CSR when the graph's topology stamp matches what the
-/// scratch last derived (any prior solve on `g` records it), keeps the
-/// scaled H when the layout stamp matches too, and otherwise rescales it
-/// under the kept M; an i64 check starts from the kept labels and keeps
-/// its own on a "no". After a "yes", scratch.bf_cycle holds the circuit a
-/// zero-start call finds.
+/// scratch last derived (any prior solve on `g` records it), and brings the
+/// scaled H up to date from the payload delta; an i64 check starts from the
+/// kept labels and keeps its own on a "no". Costs other than g.costs() drop
+/// the scratch's weights key, so the next solve recomputes every weight.
+/// After a "yes", scratch.bf_cycle holds the circuit a zero-start call
+/// finds.
 [[nodiscard]] bool has_positive_cycle(const BivaluedGraph& g, std::span<const i64> costs,
                                       const Rational& lambda, McrpScratch& scratch);
 

@@ -8,7 +8,8 @@
 //      identical to fresh-workspace runs.
 //   3. A warm K-round (constraint-graph build + MCRP solve) performs zero
 //      heap allocations, verified by a global operator new counting hook;
-//      so does a warm MCRP solve whose kernel calls start from kept labels.
+//      so does a warm MCRP solve whose kernel calls start from kept labels,
+//      and one that follows a set_time through the graph's edit log.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -210,6 +211,44 @@ TEST(Workspace, WarmSolveFromKeptLabelsDoesNotAllocate) {
   EXPECT_GE(r.ratio, ratio);
   EXPECT_GT(scratch.kept_starts, kept_starts) << "the solve must start from kept labels";
   EXPECT_EQ(after - before, 0u) << "a warm solve from kept labels must not touch the heap";
+}
+
+TEST(Workspace, WarmSolveAfterSetTimeDoesNotAllocate) {
+  // The marking-sweep case: an in-place rewrite moves an H under a kept
+  // topology (set_time). The warm solve rescales the edited arc alone and,
+  // at an unchanged λ, recomputes only its weight; neither may allocate.
+  const CsdfGraph g = gcd_ring(32);
+  const RepetitionVector rv = compute_repetition_vector(g);
+  ConstraintGraph cg = build_constraint_graph(g, rv, std::vector<i64>{1, 32, 32});
+  McrpOptions warm;
+  warm.howard_warm_start = true;
+
+  McrpScratch scratch;
+  McrpResult r;
+  solve_max_cycle_ratio(cg.graph, warm, scratch, r);
+  solve_max_cycle_ratio(cg.graph, warm, scratch, r);
+  ASSERT_EQ(r.status, McrpStatus::Optimal);
+  const Rational ratio = r.ratio;
+  // A longer H on a cyclic arc off the critical circuit keeps λ* and M.
+  std::int32_t arc = -1;
+  for (const McrpScratch::ArcRef& a : scratch.cyclic) {
+    if (std::find(r.critical_cycle.begin(), r.critical_cycle.end(), a.id) == r.critical_cycle.end()) {
+      arc = a.id;
+      break;
+    }
+  }
+  ASSERT_GE(arc, 0);
+  cg.graph.set_time(arc, cg.graph.time(arc) + Rational(1));
+  const std::uint64_t delta_calls = scratch.delta_calls;
+
+  const std::uint64_t before = g_alloc_count.load();
+  solve_max_cycle_ratio(cg.graph, warm, scratch, r);
+  const std::uint64_t after = g_alloc_count.load();
+
+  EXPECT_EQ(r.status, McrpStatus::Optimal);
+  EXPECT_EQ(r.ratio, ratio);
+  EXPECT_GT(scratch.delta_calls, delta_calls) << "the solve must follow the payload delta";
+  EXPECT_EQ(after - before, 0u) << "a warm solve after set_time must not touch the heap";
 }
 
 }  // namespace

@@ -17,10 +17,13 @@
 //      arcs that no longer chain, a node visited twice) is dropped; a seed
 //      turned infeasible by an H edit is the Infeasible witness; after
 //      reset_warm_start() the solve is cold down to its critical circuit;
-//      and the stamps gate structural reuse (set_cost preserves both,
-//      set_time only the topology stamp, structural mutations clear both,
-//      copies share both) — a warm solve after set_time keeps the core and
-//      rescales H.
+//      the payload stamp and its edit log gate payload reuse (an unchanged
+//      cost logs nothing, an edit retires the stamp and logs its arc,
+//      structural mutations empty the log and clear both stamps, copies
+//      answer for the states they share, an overflow cannot tell) and a
+//      warm solve that follows the log matches one forced down the full
+//      path circuit for circuit; a warm solve after set_time keeps the core
+//      and rescales H.
 //   5. Service lifecycle: a Deadlock variant mid-sweep resets the worker's
 //      warm state, so the following variant matches a cold run bit-for-bit;
 //      warm analyze_variants is value-identical to cold per-variant runs at
@@ -29,7 +32,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/service.hpp"
@@ -171,15 +177,28 @@ void expect_same_result(const McrpResult& a, const McrpResult& b, const std::str
   EXPECT_EQ(a.exact_iterations, b.exact_iterations) << context;
 }
 
+/// Expects two scratches to have started and re-run the same kernel calls
+/// from kept labels.
+void expect_same_kept_counts(const McrpScratch& a, const McrpScratch& b,
+                             const std::string& context) {
+  EXPECT_EQ(a.kept_starts, b.kept_starts) << context;
+  EXPECT_EQ(a.kept_reruns, b.kept_reruns) << context;
+}
+
 TEST(WarmStart, McrpWarmStartMatchesColdThroughCostPatches) {
   // A cost-patched constraint graph is exactly the warm-start situation the
   // DSE sweep produces; replay one here against the exact oracle. A twin
   // warm scratch drops its kept labels before every call, so each of its
   // kernel calls starts from zero labels: kept labels must change nothing,
-  // down to the circuit and both iteration counts. The sweep also retimes
+  // down to the circuit and both iteration counts. A second twin forgets
+  // its payload stamp before every call, so it rescales every cyclic arc,
+  // recomputes every weight and tests every arc against its kept labels:
+  // the payload delta the warm scratch follows must change nothing either,
+  // down to which calls start from kept labels. The sweep also retimes
   // arcs (λ's denominator and M move), splices in a new arc list over the
-  // same nodes, checks has_positive_cycle between solves, and resets both
-  // scratches midway.
+  // same nodes, checks has_positive_cycle between solves on the graph's
+  // costs and on costs of its own (which drop the weights' key), floods
+  // the edit log once, and resets every scratch midway.
   const CsdfGraph g = gcd_ring(16);
   const RepetitionVector rv = compute_repetition_vector(g);
   const std::vector<i64> k{1, 16, 16};
@@ -187,8 +206,10 @@ TEST(WarmStart, McrpWarmStartMatchesColdThroughCostPatches) {
 
   McrpScratch warm_scratch;
   McrpScratch twin_scratch;
+  McrpScratch full_scratch;
   McrpResult warm;
   McrpResult twin;
+  McrpResult full;
   McrpOptions warm_options;
   warm_options.howard_warm_start = true;
   McrpOptions cold_options = warm_options;
@@ -199,9 +220,12 @@ TEST(WarmStart, McrpWarmStartMatchesColdThroughCostPatches) {
   i128 last_den = 1;
   int den_moves = 0;
   int checks = 0;
+  int own_checks = 0;
+  std::vector<i64> own_costs;
   for (int step = 0; step < 60; ++step) {
     const std::string context = "step " + std::to_string(step);
     const std::uint64_t kept_before = warm_scratch.kept_starts;
+    const std::uint64_t delta_before = warm_scratch.delta_calls;
     if (step == 20) {
       // A splice that keeps the node count: a new arc list, with parallel
       // copies of the first two arcs appended, and nothing else changed.
@@ -213,12 +237,22 @@ TEST(WarmStart, McrpWarmStartMatchesColdThroughCostPatches) {
     if (step == 40) {
       warm_scratch.reset_warm_start();
       twin_scratch.reset_warm_start();
+      full_scratch.reset_warm_start();
     }
-    // Patch a handful of L payloads in place (H untouched — the only
-    // mutation the layout stamp lets warm reuse see through).
+    // Patch a handful of L payloads in place (H untouched).
     for (int edit = 0; step != 20 && edit < 4; ++edit) {
       const auto arc = static_cast<std::int32_t>(rng.uniform(0, graph.arc_count() - 1));
       graph.set_cost(arc, rng.uniform(0, 50));
+    }
+    const bool flood = step == 50;
+    if (flood) {
+      // One edit more than the log holds: the warm scratch must take the
+      // full path for this solve.
+      for (std::int32_t e = 0; e <= graph.arc_count(); ++e) {
+        const std::int32_t arc = e % graph.arc_count();
+        graph.set_cost(arc, (graph.cost(arc) + 1) % 51);
+      }
+      EXPECT_FALSE(graph.edits_since(warm_scratch.warm_payload).has_value()) << context;
     }
     const bool retime = step > 20 && step % 4 == 3;
     if (retime) {
@@ -229,14 +263,21 @@ TEST(WarmStart, McrpWarmStartMatchesColdThroughCostPatches) {
       graph.set_time(arc, graph.time(arc) + Rational::of(1, d));
     }
     twin_scratch.kept64.clear();
+    full_scratch.warm_payload = 0;
     solve_max_cycle_ratio(graph, warm_options, warm_scratch, warm);
     solve_max_cycle_ratio(graph, warm_options, twin_scratch, twin);
+    solve_max_cycle_ratio(graph, warm_options, full_scratch, full);
     expect_same_result(warm, twin, context);
+    expect_same_result(warm, full, context);
+    expect_same_kept_counts(warm_scratch, full_scratch, context);
     if (step == 20) {
       EXPECT_GT(warm_scratch.kept_starts, kept_before) << "the splice must keep the labels";
     }
     if (step == 40) {
       EXPECT_EQ(warm_scratch.kept_starts, kept_before) << "the reset must drop the labels";
+    }
+    if (flood) {
+      EXPECT_EQ(warm_scratch.delta_calls, delta_before) << "a flooded log cannot tell";
     }
 
     McrpResult cold;
@@ -248,23 +289,49 @@ TEST(WarmStart, McrpWarmStartMatchesColdThroughCostPatches) {
     if (retime && warm.ratio.den() != last_den) ++den_moves;
     last_den = warm.ratio.den();
     // Region-style checks between solves: a "no" at λ* and a "yes" just
-    // below it, from kept labels on one scratch and zero on the other.
-    for (const Rational& lambda : {warm.ratio, warm.ratio * Rational::of(99, 100)}) {
+    // below it, from kept labels on one scratch and zero on another, and a
+    // check at λ* on costs of its own, which the next solve (seeded at λ*)
+    // must not mistake for the graph's weights.
+    own_costs.assign(graph.costs().begin(), graph.costs().end());
+    for (std::size_t a = static_cast<std::size_t>(step) % 3; a < own_costs.size(); a += 3) {
+      own_costs[a] += 7;
+    }
+    const std::vector<std::pair<Rational, std::span<const i64>>> probes{
+        {warm.ratio, graph.costs()},
+        {warm.ratio * Rational::of(99, 100), graph.costs()},
+        {warm.ratio, own_costs}};
+    for (const auto& [lambda, costs] : probes) {
+      const bool own = costs.data() != graph.costs().data();
       twin_scratch.kept64.clear();
-      const bool warm_answer = has_positive_cycle(graph, graph.costs(), lambda, warm_scratch);
-      const bool twin_answer = has_positive_cycle(graph, graph.costs(), lambda, twin_scratch);
-      EXPECT_EQ(warm_answer, lambda != warm.ratio) << context;
+      full_scratch.warm_payload = 0;
+      const bool warm_answer = has_positive_cycle(graph, costs, lambda, warm_scratch);
+      const bool twin_answer = has_positive_cycle(graph, costs, lambda, twin_scratch);
+      const bool full_answer = has_positive_cycle(graph, costs, lambda, full_scratch);
+      if (!own) {
+        EXPECT_EQ(warm_answer, lambda != warm.ratio) << context;
+      }
       EXPECT_EQ(warm_answer, twin_answer) << context;
+      EXPECT_EQ(warm_answer, full_answer) << context;
       EXPECT_EQ(warm_scratch.bf_cycle, twin_scratch.bf_cycle) << context;
+      EXPECT_EQ(warm_scratch.bf_cycle, full_scratch.bf_cycle) << context;
+      expect_same_kept_counts(warm_scratch, full_scratch, context);
+      if (own) {
+        EXPECT_EQ(warm_scratch.weights_payload, 0u) << "own costs must drop the weights' key";
+        ++own_checks;
+      }
       ++checks;
     }
   }
   EXPECT_GE(den_moves, 3) << "the retimes must move λ's denominator";
-  EXPECT_GE(checks, 80);
+  EXPECT_GE(checks, 120);
+  EXPECT_GE(own_checks, 40);
   // The kept-label path must actually run: calls from kept labels, and
-  // "yes" answers from them re-run from zero labels.
+  // "yes" answers from them re-run from zero labels. So must the payload
+  // delta, and never on the scratch that forgets its payload stamp.
   EXPECT_GE(warm_scratch.kept_starts, 60u);
   EXPECT_GE(warm_scratch.kept_reruns, 3u);
+  EXPECT_GE(warm_scratch.delta_calls, 30u);
+  EXPECT_EQ(full_scratch.delta_calls, 0u);
   EXPECT_EQ(cold_scratch.kept_starts, 0u) << "a cold solve starts every call from zero labels";
 
   // A cold solve keeps no labels and drops those a warm solve kept, so the
@@ -422,57 +489,118 @@ TEST(WarmStart, ResetWarmStartSolvesColdDownToTheCircuit) {
   EXPECT_EQ(r.exact_iterations, cold.exact_iterations);
 }
 
-TEST(WarmStart, LayoutStampGatesReuse) {
+/// The graph's edit log since `stamp` as a vector, or nullopt when it
+/// cannot tell.
+std::optional<std::vector<std::int32_t>> edits_since(const BivaluedGraph& g,
+                                                     std::uint64_t stamp) {
+  const auto edits = g.edits_since(stamp);
+  if (!edits) return std::nullopt;
+  return std::vector<std::int32_t>(edits->begin(), edits->end());
+}
+
+TEST(WarmStart, PayloadStampAndEditLogGateReuse) {
+  using Edits = std::vector<std::int32_t>;
   BivaluedGraph g(3);
   g.add_arc(0, 1, 5, Rational(1));
   g.add_arc(1, 2, 3, Rational(1));
   g.add_arc(2, 0, 2, Rational(1));
+  std::vector<std::uint64_t> stamps;
 
-  const std::uint64_t stamp = g.layout_stamp();
+  const std::uint64_t stamp = g.payload_stamp();
   const std::uint64_t topology = g.topology_stamp();
+  stamps.insert(stamps.end(), {stamp, topology});
   EXPECT_NE(stamp, 0u);
   EXPECT_NE(topology, 0u);
-  EXPECT_EQ(g.layout_stamp(), stamp) << "the stamp is stable across queries";
+  EXPECT_EQ(g.payload_stamp(), stamp) << "the stamp is stable across queries";
   EXPECT_EQ(g.topology_stamp(), topology);
+  EXPECT_EQ(edits_since(g, stamp), Edits{}) << "nothing was edited since the current stamp";
+  EXPECT_EQ(edits_since(g, 0), std::nullopt);
 
+  // Writing the cost an arc already has is no edit: nothing is logged and
+  // the stamp survives.
+  g.set_cost(1, 3);
+  EXPECT_EQ(g.payload_stamp(), stamp);
+  EXPECT_EQ(edits_since(g, stamp), Edits{});
+
+  // A changed payload retires the stamp (the topology stays), and the log
+  // names exactly the edited arcs, in edit order.
   g.set_cost(1, 9);
-  EXPECT_EQ(g.layout_stamp(), stamp) << "a cost rewrite preserves the stamp";
-  EXPECT_EQ(g.topology_stamp(), topology) << "a cost rewrite preserves the topology";
+  g.set_time(2, Rational::of(1, 2));
+  EXPECT_EQ(g.topology_stamp(), topology) << "a payload rewrite preserves the topology";
+  const std::uint64_t edited = g.payload_stamp();
+  stamps.push_back(edited);
+  EXPECT_NE(edited, stamp);
+  EXPECT_EQ(edits_since(g, stamp), (Edits{1, 2}));
+  EXPECT_EQ(edits_since(g, edited), Edits{});
+  // The in-place rewrite's set_cost then set_time on one arc logs it once.
+  g.set_cost(0, 7);
+  g.set_time(0, Rational(2));
+  EXPECT_EQ(edits_since(g, edited), Edits{0});
+  EXPECT_EQ(edits_since(g, stamp), (Edits{1, 2, 0}));
 
-  // Copies share both stamps: their layout is identical by construction.
+  // A copy answers for every state it shares with its source, and each
+  // side then logs only its own edits.
+  const std::uint64_t shared = g.payload_stamp();
+  stamps.push_back(shared);
   BivaluedGraph copy = g;
-  EXPECT_EQ(copy.layout_stamp(), stamp);
+  EXPECT_EQ(copy.payload_stamp(), shared);
   EXPECT_EQ(copy.topology_stamp(), topology);
+  EXPECT_EQ(edits_since(copy, stamp), (Edits{1, 2, 0}));
+  g.set_cost(2, 11);
+  copy.set_cost(0, 1);
+  EXPECT_EQ(edits_since(g, shared), Edits{2});
+  EXPECT_EQ(edits_since(copy, shared), Edits{0});
+  stamps.insert(stamps.end(), {g.payload_stamp(), copy.payload_stamp()});
+  EXPECT_NE(g.payload_stamp(), copy.payload_stamp());
+  EXPECT_EQ(edits_since(g, copy.payload_stamp()), std::nullopt) << "a state g never had";
+  const std::uint64_t copy_stamp = copy.payload_stamp();
 
-  // A time rewrite moves the layout stamp (it covers H) but not the
-  // topology stamp (endpoints stay).
-  g.set_time(1, Rational::of(1, 2));
-  const std::uint64_t retimed = g.layout_stamp();
-  EXPECT_NE(retimed, stamp);
-  EXPECT_EQ(g.topology_stamp(), topology);
-
-  // Every structural mutation mints fresh stamps on the next query.
-  g.add_arc(0, 2, 1, Rational(1));
-  EXPECT_NE(g.layout_stamp(), retimed);
-  EXPECT_NE(g.layout_stamp(), stamp);
-  EXPECT_NE(g.topology_stamp(), topology);
-  const std::uint64_t grown = g.layout_stamp();
-  const std::uint64_t grown_topology = g.topology_stamp();
-  g.reset(3);
-  EXPECT_NE(g.layout_stamp(), grown);
-  EXPECT_NE(g.layout_stamp(), stamp);
-  EXPECT_NE(g.topology_stamp(), grown_topology);
-  EXPECT_NE(g.topology_stamp(), topology);
-  const std::uint64_t rewound = g.layout_stamp();
-  const std::uint64_t rewound_topology = g.topology_stamp();
-  g.append_arcs_shifted(copy, 0, copy.arc_count(), 0, 0);
-  EXPECT_NE(g.layout_stamp(), rewound);
-  EXPECT_NE(g.topology_stamp(), rewound_topology);
+  // Every structural mutation empties the log and mints fresh stamps.
+  auto expect_structural = [&](const char* what, auto mutate) {
+    const std::uint64_t payload_before = g.payload_stamp();
+    const std::uint64_t topology_before = g.topology_stamp();
+    mutate();
+    EXPECT_EQ(edits_since(g, payload_before), std::nullopt) << what;
+    EXPECT_EQ(edits_since(g, stamp), std::nullopt) << what;
+    EXPECT_NE(g.payload_stamp(), payload_before) << what;
+    EXPECT_NE(g.topology_stamp(), topology_before) << what;
+    stamps.insert(stamps.end(), {g.payload_stamp(), g.topology_stamp()});
+  };
+  expect_structural("add_arc", [&] { g.add_arc(0, 2, 1, Rational(1)); });
+  expect_structural("reset", [&] { g.reset(3); });
+  expect_structural("append_arcs_shifted",
+                    [&] { g.append_arcs_shifted(copy, 0, copy.arc_count(), 0, 0); });
   EXPECT_NE(g.topology_stamp(), topology) << "a spliced copy is a new topology";
-
   // The mutated original never re-collides with its copy.
-  EXPECT_EQ(copy.layout_stamp(), stamp);
+  EXPECT_EQ(copy.payload_stamp(), copy_stamp);
   EXPECT_EQ(copy.topology_stamp(), topology);
+  EXPECT_EQ(edits_since(copy, shared), Edits{0});
+
+  // More edits than the log holds (one per arc): it cannot tell, and the
+  // next stamp answers again.
+  const std::uint64_t before_flood = g.payload_stamp();
+  for (std::int32_t i = 0; i <= g.arc_count(); ++i) g.set_cost(i % 2, 100 + i);
+  EXPECT_EQ(edits_since(g, before_flood), std::nullopt);
+  const std::uint64_t after_flood = g.payload_stamp();
+  g.set_cost(2, 1);
+  EXPECT_EQ(edits_since(g, after_flood), Edits{2});
+  stamps.push_back(after_flood);
+
+  // The log keeps a few newest marks: a long run of observed edits drops
+  // the oldest states, while the newest keep answering.
+  std::vector<std::uint64_t> run;
+  for (int step = 0; step < 8; ++step) {
+    run.push_back(g.payload_stamp());
+    g.set_cost(step % 3, 200 + step);
+  }
+  EXPECT_EQ(edits_since(g, run[0]), std::nullopt);
+  EXPECT_EQ(edits_since(g, run[7]), Edits{1});
+  EXPECT_EQ(edits_since(g, run[6]), (Edits{0, 1}));
+  stamps.insert(stamps.end(), run.begin(), run.end());
+
+  // Stamps never repeat, across kinds and graphs.
+  std::sort(stamps.begin(), stamps.end());
+  EXPECT_EQ(std::adjacent_find(stamps.begin(), stamps.end()), stamps.end());
 }
 
 TEST(WarmStart, WarmSolveAfterSetTimeRescalesH) {
